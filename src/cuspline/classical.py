@@ -11,10 +11,14 @@ bookkeeping has a closed form:
 * ``CoStGenSymbol``    -- its co-version (the Langlands-quotient family with
   the same support).
 
-``module_comult`` computes the restriction sum mu*(key) = twisted-coproduct of
-the GL part acted on the closed base formulas.  ``TemperedSymbol`` and
-``LanglandsDatum`` are structural labels used by the certificate machinery:
-equality is structural and that is all the counting arguments need.
+Module elements (``ClassElt``, keys: induced symbols) and module tensors
+(``TensorClass``, keys: (multisegment, induced symbol) pairs) are
+``core.LinearElt`` subclasses with no basis.  ``module_comult`` computes the
+restriction sum mu*(key) = twisted-coproduct of the GL part acted on the
+closed base formulas.
+``TemperedSymbol`` and ``LanglandsDatum`` are structural labels used by the
+certificate machinery: equality is structural and that is all the counting
+arguments need.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ from .core import (
     DEFAULT_CONTEXT,
     EMPTY_MS,
     FormalSum,
+    LinearElt,
     Multisegment,
     Segment,
     ms,
@@ -209,15 +214,13 @@ class InducedSymbol:
         return {"gl": self.gl.to_jsonable(), "base": self.base.to_jsonable()}
 
 
-@dataclass(frozen=True)
-class ClassElt:
+class ClassElt(LinearElt):
     """Finite Z-combination of induced symbols."""
 
-    terms: FormalSum  # FormalSum[InducedSymbol]
+    __slots__ = ()
 
-    @staticmethod
-    def zero() -> "ClassElt":
-        return ClassElt(FormalSum.zero())
+    def __init__(self, terms: FormalSum):  # FormalSum[InducedSymbol]
+        super().__init__(None, terms)
 
     @staticmethod
     def key(sym: InducedSymbol, coeff: int = 1) -> "ClassElt":
@@ -227,49 +230,14 @@ class ClassElt:
     def cusp(sigma: str = "sigma") -> "ClassElt":
         return ClassElt.key(InducedSymbol(EMPTY_MS, CuspSymbol(sigma)))
 
-    def __add__(self, other: "ClassElt") -> "ClassElt":
-        return ClassElt(self.terms + other.terms)
 
-    def __sub__(self, other: "ClassElt") -> "ClassElt":
-        return ClassElt(self.terms - other.terms)
-
-    def __rmul__(self, scalar: int) -> "ClassElt":
-        return ClassElt(scalar * self.terms)
-
-    def __str__(self) -> str:
-        return str(self.terms)
-
-    def to_jsonable(self) -> dict:
-        return self.terms.to_jsonable()
-
-
-@dataclass(frozen=True)
-class TensorClass:
+class TensorClass(LinearElt):
     """Sum of (GL multisegment) (x) (induced symbol) pairs."""
 
-    terms: FormalSum  # FormalSum[(Multisegment, InducedSymbol)]
+    __slots__ = ()
 
-    @staticmethod
-    def zero() -> "TensorClass":
-        return TensorClass(FormalSum.zero())
-
-    def __add__(self, other: "TensorClass") -> "TensorClass":
-        return TensorClass(self.terms + other.terms)
-
-    def __sub__(self, other: "TensorClass") -> "TensorClass":
-        return TensorClass(self.terms - other.terms)
-
-    def coefficient(self, left: Multisegment, right: InducedSymbol) -> int:
-        return self.terms[(left, right)]
-
-    def filter(self, pred) -> "TensorClass":
-        return TensorClass(self.terms.filter_keys(pred))
-
-    def __str__(self) -> str:
-        return str(self.terms)
-
-    def to_jsonable(self) -> dict:
-        return self.terms.to_jsonable()
+    def __init__(self, terms: FormalSum):  # keys: (Multisegment, InducedSymbol)
+        super().__init__(None, terms)
 
 
 def rtimes(x: GLElt, y: ClassElt) -> ClassElt:
@@ -311,7 +279,7 @@ def module_comult_base(base: BaseSymbol) -> TensorClass:
     if isinstance(base, CoStGenSymbol):
         # The left factors are the one-segment zeta classes on
         # [-(a+n), -(a+k+1)], recorded exactly in delta-basis keys.
-        total = FormalSum.zero()
+        out = {}
         for k in range(-1, base.n + 1):
             right_base = (
                 CuspSymbol(base.sigma)
@@ -320,31 +288,29 @@ def module_comult_base(base: BaseSymbol) -> TensorClass:
             )
             right = InducedSymbol(EMPTY_MS, right_base)
             if k == base.n:
-                left_sum = FormalSum.lift(EMPTY_MS)
+                left_sum = {EMPTY_MS: 1}
             else:
                 zseg = Segment(
                     -(base.a + base.n), -(base.a + k + 1), base.line
                 )
-                left_sum = zeta_segment_delta_expansion(zseg)
-            total = total + left_sum.combine(
-                FormalSum.lift(right), lambda l, r: (l, r)
-            )
-        return TensorClass(total)
+                left_sum = zeta_segment_delta_expansion(zseg).coeffs
+            for left, c in left_sum.items():
+                out[(left, right)] = out.get((left, right), 0) + c
+        return TensorClass(FormalSum(out))
     raise TypeError(f"unknown base symbol {base!r}")
 
 
 def module_comult(y: ClassElt, ctx: Context = DEFAULT_CONTEXT) -> TensorClass:
     """mu*(GL part |x| base) = (twisted coproduct of GL part) acting on mu*(base)."""
-    total = FormalSum.zero()
-    for sym, c in y.terms.coeffs.items():
+
+    def restrict(sym: InducedSymbol) -> FormalSum:
         tw = twisted_comult(delta_key(sym.gl), ctx)
-        base_part = module_comult_base(sym.base)
-        piece = tw.terms.combine(
-            base_part.terms,
+        return tw.terms.combine(
+            module_comult_base(sym.base).terms,
             lambda xy, bc: (xy[0] + bc[0], InducedSymbol(xy[1] + bc[1].gl, bc[1].base)),
         )
-        total = total + c * piece
-    return TensorClass(total)
+
+    return TensorClass(y.terms.bind(restrict))
 
 
 def gl_jacquet(y: ClassElt, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
@@ -352,14 +318,15 @@ def gl_jacquet(y: ClassElt, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
 
     Returns the GL factor; the sigma factor is implicit.
     """
-    total = FormalSum.zero()
-    for sym, c in y.terms.coeffs.items():
+
+    def restrict(sym: InducedSymbol) -> FormalSum:
         if not isinstance(sym.base, CuspSymbol):
             raise NotCuspidalBaseError(
                 f"full GL restriction needs cuspidal bases, got {sym.base}"
             )
-        total = total + c * gl_twisted_part(delta_key(sym.gl), ctx).terms
-    return GLElt(DELTA, total)
+        return gl_twisted_part(delta_key(sym.gl), ctx).terms
+
+    return GLElt(DELTA, y.terms.bind(restrict))
 
 
 def mult_in(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -149,6 +150,18 @@ def _halfint_arg(text: str) -> HalfInt:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _jobs_arg(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"--jobs must be an integer of at least 1, got {text!r}"
+        )
+    return jobs
+
+
 def _cuts_arg(text: str) -> Tuple[bool, ...]:
     if text in ("", "-"):
         return ()
@@ -255,8 +268,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     ]
     skipped = [d for d in data if d not in eligible]
     payloads = [(args.command, d, ctx) for d in eligible]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all of its workers at the first submit
+    workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_one_check, payloads))
     else:
         reports = [_run_one_check(p) for p in payloads]
@@ -600,8 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="take the minus form of the bottom block")
         p.add_argument("--all", action="store_true",
                        help="sweep every eligible subquotient of the chain")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="process pool size for --all (default 1)")
+        p.add_argument("--jobs", type=_jobs_arg, default=1,
+                       help="process pool size for --all (default 1, <= CPUs)")
         p.add_argument("--verbose", action="store_true",
                        help="print full certificates in --all mode")
         _add_ctx_json(p)

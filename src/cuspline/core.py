@@ -7,7 +7,9 @@ with integer length e - b + 1.  The empty segment is represented by ``None``
 (a marker, never a value stored inside multisegments).  A *multisegment* is a
 finite multiset of segments kept in a canonical order, and a ``FormalSum`` is
 a finitely supported Z-linear combination of hashable keys with no explicit
-zero coefficients.
+zero coefficients.  ``LinearElt`` is the one element type built on it: a
+``FormalSum`` tagged with its rigid basis, whose subclasses are the ring,
+ring-tensor, module and module-tensor elements.
 """
 from __future__ import annotations
 
@@ -78,12 +80,6 @@ class Context:
         if not ln.selfdual:
             raise LineError(f"line {line_id!r} is not selfdual")
         return ln
-
-    def alpha_of(self, line_id: str) -> HalfInt:
-        ln = self.line(line_id)
-        if ln.alpha is None:
-            raise LineError(f"line {line_id!r} has no reducibility point configured")
-        return ln.alpha
 
     def with_line(self, line: Line) -> "Context":
         lines = dict(self.lines)
@@ -161,9 +157,6 @@ class Segment:
     def dual(self) -> "Segment":
         """Contragredient [-e, -b] on the same (selfdual) line."""
         return Segment(-self.e, -self.b, self.line)
-
-    def relabel(self, line: str) -> "Segment":
-        return Segment(self.b, self.e, line)
 
     # -- ordering / presentation ------------------------------------------
     def sort_key(self) -> tuple:
@@ -298,15 +291,8 @@ class Multisegment:
     def lines(self) -> frozenset:
         return frozenset(s.line for s in self.segments)
 
-    def restrict_lines(self, keep: Iterable[str]) -> "Multisegment":
-        keep = frozenset(keep)
-        return Multisegment(s for s in self.segments if s.line in keep)
-
     def map_segments(self, f: Callable[[Segment], Optional[Segment]]) -> "Multisegment":
         return Multisegment(f(s) for s in self.segments)
-
-    def relabel(self, old: str, new: str) -> "Multisegment":
-        return self.map_segments(lambda s: s.relabel(new) if s.line == old else s)
 
     # -- ordering / presentation ------------------------------------------
     def sort_key(self) -> tuple:
@@ -490,6 +476,96 @@ class FormalSum(Generic[K]):
         for k, c in self.terms():
             items.append({"coeff": c, "key": _key_jsonable(k)})
         return {"terms": items}
+
+
+# ---------------------------------------------------------------------------
+# Elements: the linear structure shared by the four element kinds
+# ---------------------------------------------------------------------------
+
+class LinearElt:
+    """A ``FormalSum`` of keys of one kind, read in one rigid basis.
+
+    Subclasses are the four element kinds; each lists the bases it may be
+    read in (``None`` only, on the module side).  ``+`` and ``-`` need one
+    kind (else ``TypeError``) and one basis (else ``MixedBasisError``).
+    Elements are immutable and unhashable.
+    """
+
+    __slots__ = ("basis", "terms")
+    BASES: Tuple[Optional[str], ...] = (None,)
+
+    def __init__(self, basis: Optional[str], terms: FormalSum):
+        if basis not in self.BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):  # immutability breaks default pickling
+        return (_linear_elt, (type(self), self.basis, self.terms))
+
+    def _with(self, terms: FormalSum):
+        """Same kind and basis, new terms (no validation needed)."""
+        return _linear_elt(type(self), self.basis, terms)
+
+    def _require_same(self, other: "LinearElt") -> None:
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} and {type(other).__name__}"
+            )
+        if other.basis != self.basis:
+            raise MixedBasisError(
+                f"cannot combine {self.basis}-basis and {other.basis}-basis elements"
+            )
+
+    def __add__(self, other: "LinearElt"):
+        self._require_same(other)
+        return self._with(self.terms + other.terms)
+
+    def __sub__(self, other: "LinearElt"):
+        self._require_same(other)
+        return self._with(self.terms - other.terms)
+
+    def __rmul__(self, scalar: int):
+        return self._with(scalar * self.terms)
+
+    def map_keys(self, f: Callable):
+        return self._with(self.terms.map_keys(f))
+
+    def filter(self, pred: Callable[..., bool]):
+        return self._with(self.terms.filter_keys(pred))
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.basis == other.basis
+            and self.terms == other.terms
+        )
+
+    __hash__ = None  # unhashable, like the FormalSum it wraps
+
+    def __str__(self) -> str:
+        if self.basis is None:
+            return str(self.terms)
+        return f"{self.basis[0]}:{self.terms}"  # "d:" or "z:"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.basis!r}, {self.terms!r})"
+
+    def to_jsonable(self) -> dict:
+        if self.basis is None:
+            return self.terms.to_jsonable()
+        return {"basis": self.basis, **self.terms.to_jsonable()}
+
+
+def _linear_elt(cls, basis: Optional[str], terms: FormalSum) -> LinearElt:
+    """Trusted constructor of any element kind (also the unpickler)."""
+    out = object.__new__(cls)
+    object.__setattr__(out, "basis", basis)
+    object.__setattr__(out, "terms", terms)
+    return out
 
 
 def _key_sort(key) -> tuple:

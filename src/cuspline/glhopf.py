@@ -1,11 +1,12 @@
 """The graded ring of general-linear blocks with its two rigid bases.
 
-Elements are integer combinations of multisegment keys.  A key denotes a
-product of generators, one per segment: in the ``delta`` basis the generator
-attached to a segment is the essentially-square-integrable representation of
-that segment, in the ``zeta`` basis it is the fully-degenerate one.  The two
-bases are kept rigid: sums and products never mix them, and no basis-change
-matrix is provided (deliberately out of scope).
+Elements (``GLElt``) are integer combinations of multisegment keys, tensors
+(``TensorGL``) of pairs of keys; both are ``core.LinearElt`` subclasses.  A
+key denotes a product of generators, one per segment: in the ``delta`` basis
+the generator attached to a segment is the essentially-square-integrable
+representation of that segment, in the ``zeta`` basis it is the
+fully-degenerate one.  The two bases are kept rigid: sums and products never
+mix them; ``zeta_as_delta`` / ``delta_as_zeta`` rewrite an element exactly.
 
 Operations:
 
@@ -23,7 +24,6 @@ Operations:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, List, Optional, Tuple
 
@@ -32,6 +32,7 @@ from .core import (
     DEFAULT_CONTEXT,
     EMPTY_MS,
     FormalSum,
+    LinearElt,
     MixedBasisError,
     Multisegment,
     Segment,
@@ -43,61 +44,25 @@ DELTA = "delta"
 ZETA = "zeta"
 _BASES = (DELTA, ZETA)
 
-GLTerms = FormalSum  # FormalSum[Multisegment]
-PairTerms = FormalSum  # FormalSum[Tuple[Multisegment, Multisegment]]
 
-
-def _check_basis(basis: str) -> None:
-    if basis not in _BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-
-
-@dataclass(frozen=True)
-class GLElt:
+class GLElt(LinearElt):
     """An element of the graded ring, expressed in one rigid basis."""
 
-    basis: str
-    terms: GLTerms
-
-    def __post_init__(self):
-        _check_basis(self.basis)
+    __slots__ = ()
+    BASES = _BASES
 
     @staticmethod
     def zero(basis: str) -> "GLElt":
         return GLElt(basis, FormalSum.zero())
 
     @staticmethod
-    def one(basis: str) -> "GLElt":
-        return GLElt(basis, FormalSum.lift(EMPTY_MS))
-
-    @staticmethod
     def key(basis: str, m: Multisegment, coeff: int = 1) -> "GLElt":
         return GLElt(basis, FormalSum.lift(m, coeff))
 
-    def _require_same_basis(self, other: "GLElt") -> None:
-        if self.basis != other.basis:
-            raise MixedBasisError(
-                f"cannot combine {self.basis}-basis and {other.basis}-basis elements"
-            )
-
-    def __add__(self, other: "GLElt") -> "GLElt":
-        self._require_same_basis(other)
-        return GLElt(self.basis, self.terms + other.terms)
-
-    def __sub__(self, other: "GLElt") -> "GLElt":
-        self._require_same_basis(other)
-        return GLElt(self.basis, self.terms - other.terms)
-
-    def __rmul__(self, scalar: int) -> "GLElt":
-        return GLElt(self.basis, scalar * self.terms)
-
     def __mul__(self, other: "GLElt") -> "GLElt":
         """Product = multiset concatenation of keys (bilinear)."""
-        self._require_same_basis(other)
-        return GLElt(self.basis, self.terms.combine(other.terms, lambda a, b: a + b))
-
-    def map_keys(self, f: Callable[[Multisegment], Multisegment]) -> "GLElt":
-        return GLElt(self.basis, self.terms.map_keys(f))
+        self._require_same(other)
+        return self._with(self.terms.combine(other.terms, Multisegment.__add__))
 
     def graded_parts(self) -> dict:
         """Split into homogeneous components keyed by total support size."""
@@ -105,13 +70,6 @@ class GLElt:
         for key, c in self.terms.coeffs.items():
             parts.setdefault(key.size, {})[key] = c
         return {n: GLElt(self.basis, FormalSum(d)) for n, d in sorted(parts.items())}
-
-    def __str__(self) -> str:
-        tag = "d" if self.basis == DELTA else "z"
-        return f"{tag}:{self.terms}"
-
-    def to_jsonable(self) -> dict:
-        return {"basis": self.basis, **self.terms.to_jsonable()}
 
 
 def delta_key(m: Multisegment, coeff: int = 1) -> GLElt:
@@ -122,65 +80,29 @@ def zeta_key(m: Multisegment, coeff: int = 1) -> GLElt:
     return GLElt.key(ZETA, m, coeff)
 
 
-@dataclass(frozen=True)
-class TensorGL:
+class TensorGL(LinearElt):
     """An element of (ring) x (ring), same rigid basis on both sides."""
 
-    basis: str
-    terms: PairTerms  # keys are (left multisegment, right multisegment)
-
-    def __post_init__(self):
-        _check_basis(self.basis)
+    __slots__ = ()
+    BASES = _BASES
 
     @staticmethod
     def unit(basis: str) -> "TensorGL":
         return TensorGL(basis, FormalSum.lift((EMPTY_MS, EMPTY_MS)))
 
-    def _require_same_basis(self, other: "TensorGL") -> None:
-        if self.basis != other.basis:
-            raise MixedBasisError(
-                f"cannot combine {self.basis}-basis and {other.basis}-basis tensors"
-            )
-
-    def __add__(self, other: "TensorGL") -> "TensorGL":
-        self._require_same_basis(other)
-        return TensorGL(self.basis, self.terms + other.terms)
-
-    def __sub__(self, other: "TensorGL") -> "TensorGL":
-        self._require_same_basis(other)
-        return TensorGL(self.basis, self.terms - other.terms)
-
     def __mul__(self, other: "TensorGL") -> "TensorGL":
         """Componentwise product (concatenate left keys, concatenate right keys)."""
-        self._require_same_basis(other)
-        return TensorGL(
-            self.basis,
-            self.terms.combine(other.terms, lambda a, b: (a[0] + b[0], a[1] + b[1])),
+        self._require_same(other)
+        return self._with(
+            self.terms.combine(other.terms, lambda a, b: (a[0] + b[0], a[1] + b[1]))
         )
-
-    def swap(self) -> "TensorGL":
-        return TensorGL(self.basis, self.terms.map_keys(lambda k: (k[1], k[0])))
-
-    def map_left(self, f: Callable[[Multisegment], Multisegment]) -> "TensorGL":
-        return TensorGL(self.basis, self.terms.map_keys(lambda k: (f(k[0]), k[1])))
 
     def coefficient(self, left: Multisegment, right: Multisegment) -> int:
         return self.terms[(left, right)]
 
-    def left_part(self, right: Multisegment) -> GLTerms:
+    def left_part(self, right: Multisegment) -> FormalSum:
         """The coefficient sum of all terms with the given right key."""
-        out = {}
-        for (l, r), c in self.terms.coeffs.items():
-            if r == right:
-                out[l] = out.get(l, 0) + c
-        return FormalSum(out)
-
-    def __str__(self) -> str:
-        tag = "d" if self.basis == DELTA else "z"
-        return f"{tag}:{self.terms}"
-
-    def to_jsonable(self) -> dict:
-        return {"basis": self.basis, **self.terms.to_jsonable()}
+        return self.terms.filter_keys(lambda k: k[1] == right).map_keys(lambda k: k[0])
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +119,6 @@ def comult_segment(s: Segment, basis: str) -> TensorGL:
     The result is immutable and memoized; the same generators recur in
     every multiplicative expansion.
     """
-    _check_basis(basis)
     terms = {}
     for cut in range(s.length + 1):
         # bottom part: first `cut` exponents; top part: the rest
@@ -226,11 +147,8 @@ def comult(x: GLElt) -> TensorGL:
         [(key, c)] = coeffs.items()
         if c == 1:  # the memoized tensor is immutable: share it
             return comult_key(key, x.basis)
-    out: dict = {}
-    for key, c in coeffs.items():
-        for pair, c2 in comult_key(key, x.basis).terms.coeffs.items():
-            out[pair] = out.get(pair, 0) + c * c2
-    return TensorGL(x.basis, FormalSum._clean(out))
+    basis = x.basis
+    return TensorGL(basis, x.terms.bind(lambda key: comult_key(key, basis).terms))
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +246,12 @@ def segment_tilings(s: Segment) -> Iterable[Tuple[Segment, ...]]:
         yield tuple(parts)
 
 
-def _segment_tiling_expansion(s: Segment) -> FormalSum:
-    """Sum over tilings with sign (-1)^(length - blocks), as multisegment keys.
+def zeta_segment_delta_expansion(s: Segment) -> FormalSum:
+    """The one-segment zeta class written in delta-basis multisegment keys.
 
-    This is the base-change of a one-segment class into the keys of the
-    opposite rigid basis; the same alternating formula works in both
-    directions (the two triangular matrices are mutually inverse).
+    Sum over tilings with sign (-1)^(length - blocks).  The same alternating
+    formula also writes a one-segment delta class in zeta-basis keys (the
+    two triangular base-change matrices are mutually inverse).
     """
     out: dict = {}
     for parts in segment_tilings(s):
@@ -343,38 +261,34 @@ def _segment_tiling_expansion(s: Segment) -> FormalSum:
     return FormalSum(out)
 
 
-def _convert_key(m: Multisegment) -> FormalSum:
-    """Product of per-segment tiling expansions (a key is a product of
-    one-segment classes, so this is exact)."""
-    total = FormalSum.lift(EMPTY_MS)
+def _segmentwise_product(
+    m: Multisegment, f: Callable[[Segment], FormalSum]
+) -> FormalSum:
+    """Product over the segments of a key of one formal sum per segment (a
+    key is the product of its one-segment classes)."""
+    product = FormalSum.lift(EMPTY_MS)
     for s in m:
-        total = total.combine(_segment_tiling_expansion(s), lambda a, b: a + b)
-    return total
+        product = product.combine(f(s), Multisegment.__add__)
+    return product
+
+
+def _change_basis(x: GLElt, source: str, target: str, name: str) -> GLElt:
+    if x.basis != source:
+        raise MixedBasisError(f"{name} needs a {source}-basis element")
+    return GLElt(
+        target,
+        x.terms.bind(lambda m: _segmentwise_product(m, zeta_segment_delta_expansion)),
+    )
 
 
 def zeta_as_delta(x: GLElt) -> GLElt:
     """Rewrite a zeta-basis element exactly in delta-basis keys."""
-    if x.basis != ZETA:
-        raise MixedBasisError("zeta_as_delta needs a zeta-basis element")
-    total = FormalSum.zero()
-    for m, c in x.terms.coeffs.items():
-        total = total + c * _convert_key(m)
-    return GLElt(DELTA, total)
+    return _change_basis(x, ZETA, DELTA, "zeta_as_delta")
 
 
 def delta_as_zeta(x: GLElt) -> GLElt:
     """Rewrite a delta-basis element exactly in zeta-basis keys."""
-    if x.basis != DELTA:
-        raise MixedBasisError("delta_as_zeta needs a delta-basis element")
-    total = FormalSum.zero()
-    for m, c in x.terms.coeffs.items():
-        total = total + c * _convert_key(m)
-    return GLElt(ZETA, total)
-
-
-def zeta_segment_delta_expansion(s: Segment) -> FormalSum:
-    """The one-segment zeta class written in delta-basis multisegment keys."""
-    return _segment_tiling_expansion(s)
+    return _change_basis(x, DELTA, ZETA, "delta_as_zeta")
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +300,11 @@ def trim_key(m: Multisegment) -> Multisegment:
     return m.map_segments(Segment.trimmed_top)
 
 
+def _derivative_segment(s: Segment) -> FormalSum:
+    """s + s-trimmed (the trimmed singleton is the empty key)."""
+    return FormalSum.from_terms([(ms(s), 1), (ms(s.trimmed_top()), 1)])
+
+
 def derivative(x: GLElt) -> GLElt:
     """The positive ring endomorphism generated by s -> s + s-trimmed.
 
@@ -393,17 +312,9 @@ def derivative(x: GLElt) -> GLElt:
     """
     if x.basis != ZETA:
         raise MixedBasisError("the derivative is defined on the zeta basis only")
-    total = FormalSum.zero()
-    for key, c in x.terms.coeffs.items():
-        expanded = FormalSum.lift(EMPTY_MS, c)
-        for s in key:
-            factor_terms = {ms(s): 1}
-            trimmed = s.trimmed_top()
-            trimmed_key = ms(trimmed) if trimmed else EMPTY_MS
-            factor_terms[trimmed_key] = factor_terms.get(trimmed_key, 0) + 1
-            expanded = expanded.combine(FormalSum(factor_terms), lambda a, b: a + b)
-        total = total + expanded
-    return GLElt(ZETA, total)
+    return GLElt(
+        ZETA, x.terms.bind(lambda m: _segmentwise_product(m, _derivative_segment))
+    )
 
 
 def highest_derivative(x: GLElt) -> GLElt:

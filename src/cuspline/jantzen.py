@@ -188,11 +188,9 @@ def twisted_comult_filtered(
     p.require_supported(gl_support_lines(x), "ring element")
     keep_left = p.lines(side)
     keep_right = p.lines(p.other(side))
-    full = twisted_comult(x, ctx)
-    kept = full.terms.filter_keys(
+    return twisted_comult(x, ctx).filter(
         lambda key: key[0].lines() <= keep_left and key[1].lines() <= keep_right
     )
-    return TensorGL(full.basis, kept)
 
 
 def filtered_identity_sides(
@@ -500,4 +498,4 @@ def transport_class(
         gl = sym.gl.map_segments(lambda s: _relabel_segment(s, dst))
         return InducedSymbol(gl, _relabel_base(sym.base, dst, sigma))
 
-    return ClassElt(y.terms.map_keys(relabel))
+    return y.map_keys(relabel)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cuspline import cli
 from cuspline.cli import (
     ContextFileError,
     load_context,
@@ -461,3 +462,49 @@ class TestParallelSweep:
         )
         assert code1 == code2 == 0
         assert json.loads(out1) == json.loads(out2)
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "x"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-prop41", "--alpha", "1/2", "--n", "2", "--all",
+                  "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs must be an integer of at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "jobs,cpus,want",
+        [
+            ("10000", 4, [4]),  # capped by the CPU count
+            ("10000", 64, [6]),  # capped by the 6 eligible data
+            ("2", 64, [2]),
+            ("10000", None, []),  # unknown CPU count: sequential, no pool
+            ("1", 64, []),
+        ],
+    )
+    def test_pool_size_is_bounded(self, capsys, monkeypatch, jobs, cpus, want):
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["check-prop41", "--alpha", "1/2", "--n", "2", "--all", "--json"]
+        code1, out1, _ = run(capsys, *argv)
+        code2, out2, _ = run(capsys, *argv, "--jobs", jobs)
+        assert code1 == code2 == 0
+        assert json.loads(out1)["checked"] == 6
+        assert out1 == out2
+        assert sizes == want
