@@ -71,6 +71,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# Largest accepted --n: a chain of n steps has 2^(n+1) subquotient labels,
+# and a --all sweep certifies about that many data.
+MAX_CHAIN_LENGTH = 10
+
 
 # ---------------------------------------------------------------------------
 # Context files
@@ -160,6 +164,18 @@ def _jobs_arg(text: str) -> int:
             f"--jobs must be an integer of at least 1, got {text!r}"
         )
     return jobs
+
+
+def _chain_length_arg(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if not 0 <= n <= MAX_CHAIN_LENGTH:
+        raise argparse.ArgumentTypeError(
+            f"--n must be an integer from 0 to {MAX_CHAIN_LENGTH}, got {text!r}"
+        )
+    return n
 
 
 def _cuts_arg(text: str) -> Tuple[bool, ...]:
@@ -566,8 +582,9 @@ def _add_ctx_json(p: argparse.ArgumentParser) -> None:
 def _add_datum_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=_halfint_arg, required=True,
                    help="first exponent of the chain (e.g. 1/2, 1, 3/2)")
-    p.add_argument("--n", type=int, required=True,
-                   help="number of steps in the chain (chain has n+1 exponents)")
+    p.add_argument("--n", type=_chain_length_arg, required=True,
+                   help="number of steps in the chain (chain has n+1 exponents;"
+                   f" 0 <= n <= {MAX_CHAIN_LENGTH})")
     p.add_argument("--line", default="rho", help="line id (default rho)")
     p.add_argument("--sigma", default="sigma",
                    help="cuspidal point label (default sigma)")

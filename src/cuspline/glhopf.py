@@ -14,10 +14,16 @@ Operations:
   per-segment formulas (top parts on the left in the delta basis, bottom
   parts on the left in the zeta basis);
 * ``contragredient`` -- segmentwise [b,e] -> [-e,-b] (selfdual lines only);
-* ``twisted_comult`` -- the composite (mult x id)(contragredient x comult)
-  (swap) comult used for classical-group restriction bookkeeping, together
-  with an independent closed form for a single segment;
-* ``gl_twisted_part`` -- the "everything moved to the GL side" sum;
+* ``twisted_comult`` -- the twisted coproduct M* used for classical-group
+  restriction bookkeeping, defined as the composite (mult x id)
+  (contragredient x comult)(swap) comult.  The composite is multiplicative
+  over the segments of a key (Tadic, J. Algebra 177 (1995)), so the value on
+  a key is the product of memoized one-segment values.  Those come from the
+  compositional route, ``twisted_comult_compositional``, which is the
+  reference; ``twisted_comult_segment_closed`` is an independent closed form
+  for one delta generator, kept as the cross-check;
+* ``gl_twisted_part`` -- the "everything moved to the GL side" sum, the
+  product of memoized one-segment parts in the same way;
 * ``derivative`` / ``highest_derivative`` -- the positive ring endomorphism
   on the zeta basis and its lowest nonzero graded part;
 * ``mw_dual`` -- the chain-selection involution on multisegments.
@@ -132,23 +138,41 @@ def comult_segment(s: Segment, basis: str) -> TensorGL:
     return TensorGL(basis, FormalSum(terms))
 
 
+def _segmentwise_tensor(
+    m: Multisegment, basis: str, f: Callable[[Segment, str], TensorGL]
+) -> TensorGL:
+    """Product over the segments of a key of one memoized tensor per segment
+    (a one-segment key shares its segment's tensor)."""
+    if not m.segments:
+        return TensorGL.unit(basis)
+    first, *rest = m.segments
+    out = f(first, basis)
+    for s in rest:
+        out = out * f(s, basis)
+    return out
+
+
 @lru_cache(maxsize=65536)
 def comult_key(m: Multisegment, basis: str) -> TensorGL:
-    out = TensorGL.unit(basis)
-    for s in m:
-        out = out * comult_segment(s, basis)
-    return out
+    return _segmentwise_tensor(m, basis, comult_segment)
+
+
+def _linear_extension(
+    x: GLElt, f: Callable[[Multisegment, str], TensorGL]
+) -> TensorGL:
+    """Linear extension of a key -> tensor map."""
+    coeffs = x.terms.coeffs
+    if len(coeffs) == 1:
+        [(key, c)] = coeffs.items()
+        if c == 1:  # tensors are immutable: share the key's value
+            return f(key, x.basis)
+    basis = x.basis
+    return TensorGL(basis, x.terms.bind(lambda key: f(key, basis).terms))
 
 
 def comult(x: GLElt) -> TensorGL:
     """The coproduct, extended multiplicatively to all keys and linearly."""
-    coeffs = x.terms.coeffs
-    if len(coeffs) == 1:
-        [(key, c)] = coeffs.items()
-        if c == 1:  # the memoized tensor is immutable: share it
-            return comult_key(key, x.basis)
-    basis = x.basis
-    return TensorGL(basis, x.terms.bind(lambda key: comult_key(key, basis).terms))
+    return _linear_extension(x, comult_key)
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +193,11 @@ def contragredient(x: GLElt, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
 # Twisted coproduct
 # ---------------------------------------------------------------------------
 
-def twisted_comult(x: GLElt, ctx: Context = DEFAULT_CONTEXT) -> TensorGL:
-    """(mult x id) o (contragredient x comult) o swap o comult.
+def twisted_comult_compositional(x: GLElt, ctx: Context = DEFAULT_CONTEXT) -> TensorGL:
+    """(mult x id) o (contragredient x comult) o swap o comult, term by term.
 
-    The normative definition; the closed per-segment formula below is the
-    independent cross-check.
+    The normative definition: ``twisted_comult`` takes its one-segment
+    values from it, and the tests compare the two on whole elements.
     """
     first = comult(x)
     out = {}
@@ -184,6 +208,38 @@ def twisted_comult(x: GLElt, ctx: Context = DEFAULT_CONTEXT) -> TensorGL:
             key = (dual_right + u, v)
             out[key] = out.get(key, 0) + c * c2
     return TensorGL(x.basis, FormalSum(out))
+
+
+def _require_selfdual_support(x: GLElt, ctx: Context) -> None:
+    """The context enters the twisted restriction only through this check,
+    so it runs on every call, before any cache is read."""
+    for line in {s.line for key in x.terms.coeffs for s in key}:
+        ctx.require_selfdual(line)
+
+
+@lru_cache(maxsize=None)
+def twisted_comult_segment(s: Segment, basis: str) -> TensorGL:
+    """The twisted coproduct of one generator, by the compositional route.
+
+    Memoized on (segment, basis) alone: callers check selfduality first.
+    """
+    return twisted_comult_compositional(GLElt.key(basis, ms(s)))
+
+
+def twisted_comult(x: GLElt, ctx: Context = DEFAULT_CONTEXT) -> TensorGL:
+    """The twisted coproduct, multiplicative over the segments of a key.
+
+    Every map in the compositional definition is a ring map, so the value
+    on a key is the product of the memoized one-segment values (Tadic's
+    structure formula, J. Algebra 177 (1995)); it extends linearly.
+    ``twisted_comult_compositional`` is the reference the one-segment
+    values come from, and ``twisted_comult_segment_closed`` the independent
+    cross-check on delta generators.
+    """
+    _require_selfdual_support(x, ctx)
+    return _linear_extension(
+        x, lambda m, basis: _segmentwise_tensor(m, basis, twisted_comult_segment)
+    )
 
 
 def twisted_comult_segment_closed(s: Segment, ctx: Context = DEFAULT_CONTEXT) -> TensorGL:
@@ -213,18 +269,27 @@ def twisted_comult_segment_closed(s: Segment, ctx: Context = DEFAULT_CONTEXT) ->
     return TensorGL(DELTA, FormalSum(out))
 
 
+@lru_cache(maxsize=None)
+def gl_twisted_part_segment(s: Segment, basis: str) -> FormalSum:
+    """``gl_twisted_part`` of one generator: the left keys of its twisted
+    coproduct paired with the empty right key."""
+    return twisted_comult_segment(s, basis).left_part(EMPTY_MS)
+
+
 def gl_twisted_part(x: GLElt, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
     """Sum of (left) * (contragredient of right) over the coproduct terms.
 
     Equals the sum of left keys of the twisted coproduct paired with the
-    empty right key (a tested identity).
+    empty right key, and is multiplicative over segments like it.
     """
-    first = comult(x)
-    out = {}
-    for (left, right), c in first.terms.coeffs.items():
-        key = left + contragredient_key(right, ctx)
-        out[key] = out.get(key, 0) + c
-    return GLElt(x.basis, FormalSum(out))
+    _require_selfdual_support(x, ctx)
+    basis = x.basis
+    return GLElt(
+        basis,
+        x.terms.bind(
+            lambda m: _segmentwise_product(m, lambda s: gl_twisted_part_segment(s, basis))
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,16 @@ class TestEnumerateClassify:
         assert code == 2
         assert "bits" in err
 
+    @pytest.mark.parametrize("n", ["-1", "x", str(cli.MAX_CHAIN_LENGTH + 1)])
+    @pytest.mark.parametrize(
+        "command", [["enumerate"], ["check-prop41", "--all"]]
+    )
+    def test_chain_length_out_of_range_is_a_usage_error(self, capsys, command, n):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--alpha", "1", "--n", n])
+        assert exc.value.code == 2
+        assert "--n must be an integer from 0 to" in capsys.readouterr().err
+
 
 class TestChecks:
     def test_single_check_passes(self, capsys):

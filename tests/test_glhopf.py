@@ -1,9 +1,12 @@
 """Tests for the graded ring: coproducts, twisted coproduct, derivative, involution."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspline import sampling
+from cuspline.classical import CuspSymbol, induced, module_comult
 from cuspline.core import (
     Context,
     EMPTY_MS,
@@ -31,6 +34,8 @@ from cuspline.glhopf import (
     segment_tilings,
     trim_key,
     twisted_comult,
+    twisted_comult_compositional,
+    twisted_comult_segment,
     twisted_comult_segment_closed,
     zeta_as_delta,
     zeta_key,
@@ -209,6 +214,79 @@ class TestTwistedComult:
             r: c for (l, r), c in got.terms.coeffs.items() if l == shaved
         }
         assert picked == {ms(seg(-a, -a)): 1, ms(seg(a, a)): 1}
+
+
+@st.composite
+def sampled_multisegment(draw):
+    """A key on two lines from the package's sampler, seeded by hypothesis."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return sampling.random_multisegment(rng, lines=("rho", "tau"))
+
+
+class TestTwistedMultiplicative:
+    """The segment-by-segment twisted restriction against the compositional
+    definition, its reference."""
+
+    @staticmethod
+    def assert_matches_reference(x):
+        reference = twisted_comult_compositional(x)
+        assert twisted_comult(x) == reference
+        assert gl_twisted_part(x).terms == reference.left_part(EMPTY_MS)
+
+    @given(sampled_multisegment(), st.sampled_from([DELTA, ZETA]))
+    @settings(max_examples=100, deadline=None)
+    def test_keys(self, m, basis):
+        self.assert_matches_reference(GLElt.key(basis, m))
+
+    @given(
+        st.lists(
+            st.tuples(sampled_multisegment(), st.sampled_from([3, -1, 1, -2])),
+            min_size=1,
+            max_size=3,
+        ),
+        sampled_multisegment(),
+        st.sampled_from([DELTA, ZETA]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_combinations(self, terms, cancelled, basis):
+        # the cancelling pair leaves no trace in the element
+        x = GLElt(basis, FormalSum.from_terms(terms + [(cancelled, 5), (cancelled, -5)]))
+        self.assert_matches_reference(x)
+
+    @pytest.mark.parametrize("basis", [DELTA, ZETA])
+    def test_keys_of_one_support_with_cancelling_images(self, basis):
+        a = GLElt.key(basis, ms(seg(0, 1), seg(1, 1, "tau")))
+        b = GLElt.key(basis, ms(seg(0, 0), seg(1, 1), seg(1, 1, "tau")))
+        x = a - b
+        # terms the two images share cancel in the difference
+        assert len(twisted_comult(x).terms) < (
+            len(twisted_comult(a).terms) + len(twisted_comult(b).terms)
+        )
+        self.assert_matches_reference(x)
+
+    @pytest.mark.parametrize("basis", [DELTA, ZETA])
+    def test_one_segment_key_shares_the_memoized_tensor(self, basis):
+        x = GLElt.key(basis, ms(seg(0, 2)))
+        assert twisted_comult(x) is twisted_comult_segment(seg(0, 2), basis)
+
+    @pytest.mark.parametrize(
+        # in the second key the w segment sorts after the rho segment
+        "key", [ms(seg(0, 1, "w")), ms(seg(1, 1), seg("-3/2", "-1/2", "w"))]
+    )
+    def test_selfduality_is_checked_past_the_caches(self, key):
+        # fill the one-segment caches for line w under the default context
+        for s in key:
+            twisted_comult(delta_key(ms(s)))
+            gl_twisted_part(delta_key(ms(s)))
+            module_comult(induced(ms(s), CuspSymbol()))
+            assert twisted_comult_segment.cache_info().currsize > 0
+        ctx = Context(lines={"w": Line("w", selfdual=False)})
+        with pytest.raises(LineError):
+            twisted_comult(delta_key(key), ctx)
+        with pytest.raises(LineError):
+            gl_twisted_part(delta_key(key), ctx)
+        with pytest.raises(LineError):
+            module_comult(induced(key, CuspSymbol()), ctx)
 
 
 class TestBaseChange:
