@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 from cuspline.core import Context, DEFAULT_CONTEXT
 from cuspline.halfint import HalfInt, hi
-from cuspline.cli import load_context
+from cuspline.cli import MAX_CHAIN_LENGTH, load_context
 from cuspline.subquotients import (
     CaseTag,
     check_prop41,
@@ -83,8 +83,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> SweepConfig:
         n_values = tuple(int(n.strip()) for n in args.n.split(","))
     except ValueError as exc:
         parser.error(str(exc))
-    if any(n < 0 for n in n_values):
-        parser.error("chain lengths must be nonnegative")
+    if not all(0 <= n <= MAX_CHAIN_LENGTH for n in n_values):
+        parser.error(f"chain lengths must be integers from 0 to {MAX_CHAIN_LENGTH}")
     ctx = load_context(args.ctx) if args.ctx else DEFAULT_CONTEXT
     dump_dir = pathlib.Path(args.dump_dir) if args.dump_dir else None
     return SweepConfig(

@@ -15,6 +15,8 @@ a generic-unitarity decision procedure (``criteria``), a tiny expression
 language (``dsl``), and seeded random generators for property tests
 (``sampling``).  Everything is exact: exponents live in half-integers
 (``halfint``) and coefficients in arbitrary-precision integers.
+
+The names imported below are the package's public interface.
 """
 
 from .halfint import HalfInt, hi
@@ -111,91 +113,3 @@ from .criteria import (
 from .dsl import DslSyntaxError, DslTypeError, evaluate, parse
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "HalfInt",
-    "hi",
-    "Context",
-    "CusplineError",
-    "Error",
-    "DEFAULT_CONTEXT",
-    "DEFAULT_LINE",
-    "EMPTY_MS",
-    "EmptySegmentError",
-    "FormalSum",
-    "Line",
-    "LineError",
-    "MixedBasisError",
-    "Multisegment",
-    "NonIntegralLengthError",
-    "Segment",
-    "ms",
-    "DELTA",
-    "ZETA",
-    "GLElt",
-    "TensorGL",
-    "comult",
-    "contragredient",
-    "delta_as_zeta",
-    "delta_key",
-    "derivative",
-    "gl_twisted_part",
-    "highest_derivative",
-    "mw_dual",
-    "twisted_comult",
-    "zeta_as_delta",
-    "zeta_key",
-    "ClassElt",
-    "CoStGenSymbol",
-    "CuspSymbol",
-    "DatumError",
-    "DeltaPM",
-    "IndTemp",
-    "InducedSymbol",
-    "LanglandsDatum",
-    "StGenSymbol",
-    "TauPM",
-    "TempBase",
-    "TensorClass",
-    "contragredient_datum",
-    "gl_jacquet",
-    "induced",
-    "module_comult",
-    "mult_in",
-    "rtimes",
-    "CaseTag",
-    "CertReport",
-    "CertStep",
-    "SubqDatum",
-    "UnsupportedDatumError",
-    "aubert_pair",
-    "check_length_ge5",
-    "check_mult_le4",
-    "check_prop41",
-    "classify",
-    "enumerate_subquotients",
-    "verify_hd_identity",
-    "LinePartition",
-    "SplitDatum",
-    "TransportError",
-    "combine_data",
-    "filtered_identity_sides",
-    "module_comult_filtered",
-    "require_transportable",
-    "split_datum",
-    "transport_class",
-    "transport_gl",
-    "transport_line",
-    "twisted_comult_filtered",
-    "CriterionResult",
-    "GenericDatum",
-    "GenericDescription",
-    "MalformedDatumError",
-    "generic_unitarizable",
-    "half_point_reducible",
-    "DslSyntaxError",
-    "DslTypeError",
-    "evaluate",
-    "parse",
-    "__version__",
-]

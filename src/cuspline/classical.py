@@ -22,7 +22,7 @@ arguments need.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 from .core import (
@@ -90,8 +90,13 @@ class CuspSymbol:
 
 
 @dataclass(frozen=True)
-class StGenSymbol:
-    """Generalized Steinberg atom on [a, a+n] over sigma."""
+class _SteinbergAtom:
+    """The body shared by the two Steinberg-type atoms on [a, a+n] over sigma.
+
+    Subclasses set ``_TAG`` (their rank in ``sort_key``) and ``_PREFIX`` (the
+    name they print under); they stay distinct types, so a StGen atom never
+    equals the CoStGen atom with the same fields.
+    """
 
     line: str
     a: HalfInt
@@ -100,7 +105,7 @@ class StGenSymbol:
 
     def __post_init__(self):
         if self.n < 0:
-            raise DatumError("StGen needs n >= 0")
+            raise DatumError(f"{self._PREFIX}Gen needs n >= 0")
 
     @property
     def segment(self) -> Segment:
@@ -117,14 +122,14 @@ class StGenSymbol:
         return frozenset({self.line})
 
     def sort_key(self) -> tuple:
-        return (1, self.line, self.a.num2, self.n, self.sigma)
+        return (self._TAG, self.line, self.a.num2, self.n, self.sigma)
 
     def __str__(self) -> str:
-        return f"St([{self.a},{self.a + self.n}]@{self.line};{self.sigma})"
+        return f"{self._PREFIX}([{self.a},{self.a + self.n}]@{self.line};{self.sigma})"
 
     def to_jsonable(self) -> dict:
         return {
-            "kind": "stgen",
+            "kind": f"{self._PREFIX.lower()}gen",
             "line": self.line,
             "a": self.a.to_jsonable(),
             "n": self.n,
@@ -133,46 +138,17 @@ class StGenSymbol:
 
 
 @dataclass(frozen=True)
-class CoStGenSymbol:
+class StGenSymbol(_SteinbergAtom):
+    """Generalized Steinberg atom on [a, a+n] over sigma."""
+
+    _TAG, _PREFIX = 1, "St"
+
+
+@dataclass(frozen=True)
+class CoStGenSymbol(_SteinbergAtom):
     """The co-Steinberg atom: the Langlands-quotient counterpart of StGen."""
 
-    line: str
-    a: HalfInt
-    n: int
-    sigma: str = "sigma"
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise DatumError("CoStGen needs n >= 0")
-
-    @property
-    def segment(self) -> Segment:
-        return Segment(self.a, self.a + self.n, self.line)
-
-    @property
-    def degree(self) -> int:
-        return self.n + 1
-
-    def support(self) -> Dict[Tuple[str, HalfInt], int]:
-        return {(self.line, x): 1 for x in self.segment.exponents()}
-
-    def lines(self) -> FrozenSet[str]:
-        return frozenset({self.line})
-
-    def sort_key(self) -> tuple:
-        return (2, self.line, self.a.num2, self.n, self.sigma)
-
-    def __str__(self) -> str:
-        return f"CoSt([{self.a},{self.a + self.n}]@{self.line};{self.sigma})"
-
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": "costgen",
-            "line": self.line,
-            "a": self.a.to_jsonable(),
-            "n": self.n,
-            "sigma": self.sigma,
-        }
+    _TAG, _PREFIX = 2, "CoSt"
 
 
 BaseSymbol = Union[CuspSymbol, StGenSymbol, CoStGenSymbol]
@@ -563,29 +539,16 @@ def contragredient_datum(d: LanglandsDatum, ctx: Context = DEFAULT_CONTEXT) -> L
     """Symbol-level contragredient: keep segments (selfdual lines), flip sigma."""
     for line in d.lines():
         ctx.require_selfdual(line)
-    return LanglandsDatum(d.gl, _temp_flip_sigma(d.temp), d.dualized)
+    return LanglandsDatum(d.gl, _flip_sigma(d.temp), d.dualized)
 
 
-def _temp_flip_sigma(t: TemperedSymbol) -> TemperedSymbol:
+def _flip_sigma(t: Union[TemperedSymbol, BaseSymbol]) -> Union[TemperedSymbol, BaseSymbol]:
+    """A tempered or base symbol with its sigma label dualized."""
     if isinstance(t, TempBase):
-        return TempBase(_base_flip_sigma(t.base))
-    if isinstance(t, TauPM):
-        return TauPM(t.line, t.half, t.sign, dual_sigma(t.sigma))
-    if isinstance(t, DeltaPM):
-        return DeltaPM(t.seg, t.sign, dual_sigma(t.sigma))
+        return TempBase(_flip_sigma(t.base))
     if isinstance(t, IndTemp):
-        return IndTemp(t.segs, _temp_flip_sigma(t.inner))
-    raise TypeError(f"unknown tempered symbol {t!r}")
-
-
-def _base_flip_sigma(b: BaseSymbol) -> BaseSymbol:
-    if isinstance(b, CuspSymbol):
-        return CuspSymbol(dual_sigma(b.sigma))
-    if isinstance(b, StGenSymbol):
-        return StGenSymbol(b.line, b.a, b.n, dual_sigma(b.sigma))
-    if isinstance(b, CoStGenSymbol):
-        return CoStGenSymbol(b.line, b.a, b.n, dual_sigma(b.sigma))
-    raise TypeError(f"unknown base symbol {b!r}")
+        return IndTemp(t.segs, _flip_sigma(t.inner))
+    return replace(t, sigma=dual_sigma(t.sigma))
 
 
 # ---------------------------------------------------------------------------

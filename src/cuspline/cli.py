@@ -19,33 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
-from .core import (
-    Context,
-    CusplineError,
-    DEFAULT_CONTEXT,
-    EMPTY_MS,
-    Line,
-    Segment,
-    ms,
-)
-from .glhopf import (
-    GLElt,
-    comult,
-    delta_as_zeta,
-    delta_key,
-    mw_dual,
-    twisted_comult,
-    twisted_comult_segment_closed,
-    zeta_as_delta,
-    zeta_key,
-)
-from .halfint import HalfInt, hi
-from .classical import ClassElt, module_comult
+from .core import Context, CusplineError, DEFAULT_CONTEXT, Line
+from .glhopf import GLElt
+from .halfint import HalfInt
+from .classical import ClassElt
 from .subquotients import (
     CaseTag,
     SubqDatum,
@@ -65,7 +46,6 @@ from .jantzen import (
 )
 from .criteria import GenericDatum, MalformedDatumError, generic_unitarizable
 from .dsl import DslSyntaxError, DslTypeError, evaluate
-from . import sampling
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -277,12 +257,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK if report.ok else EXIT_FAIL
 
     data = enumerate_subquotients(args.alpha, args.n, args.line, args.sigma)
-    eligible = [
-        d
-        for d in data
-        if classify(d) not in (CaseTag.GEN_STEINBERG, CaseTag.CO_GEN_STEINBERG)
-    ]
-    skipped = [d for d in data if d not in eligible]
+    eligible, skipped = [], []
+    for d in data:
+        extreme = classify(d) in (CaseTag.GEN_STEINBERG, CaseTag.CO_GEN_STEINBERG)
+        (skipped if extreme else eligible).append(d)
     payloads = [(args.command, d, ctx) for d in eligible]
     # the pool forks all of its workers at the first submit
     workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
@@ -394,7 +372,10 @@ def cmd_transport(args: argparse.Namespace) -> int:
 
 def _load_generic_data(path: str) -> List[GenericDatum]:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise MalformedDatumError("JSON input is nested too deeply") from None
     if isinstance(doc, dict):
         doc = doc.get("data", doc.get("labels"))
         if doc is None:
@@ -407,16 +388,23 @@ def _load_generic_data(path: str) -> List[GenericDatum]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or "label" not in entry:
             raise MalformedDatumError(f"entry {i} is not a label object")
+        flags = {
+            name: entry.get(name, name == "selfdual")
+            for name in ("selfdual", "halfred", "tau_red")
+        }
+        for name, value in flags.items():
+            if not isinstance(value, bool):
+                raise MalformedDatumError(
+                    f"entry {i}: {name} must be true or false, got {value!r}"
+                )
         try:
             out.append(
                 GenericDatum(
                     label=entry["label"],
                     exponents=tuple(entry.get("exponents", ())),
-                    selfdual=bool(entry.get("selfdual", True)),
-                    halfred=bool(entry.get("halfred", False)),
-                    tau_red=bool(entry.get("tau_red", False)),
                     partner=entry.get("partner"),
                     line=entry.get("line"),
+                    **flags,
                 )
             )
         except (TypeError, ValueError) as exc:
@@ -440,134 +428,6 @@ def cmd_generic_check(args: argparse.Namespace) -> int:
         for line in result.render_lines():
             print(line)
     return EXIT_OK if result.unitarizable else EXIT_FAIL
-
-
-# ---------------------------------------------------------------------------
-# Self test
-# ---------------------------------------------------------------------------
-
-def _selftest_checks() -> List[Tuple[str, bool, str]]:
-    out: List[Tuple[str, bool, str]] = []
-    ctx = DEFAULT_CONTEXT
-
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        out.append((name, ok, detail))
-
-    # Twisted restriction: closed form against the compositional route.
-    ok = True
-    detail = ""
-    for num2_b in range(-4, 5):
-        for length in range(1, 4):
-            seg = Segment(HalfInt(num2_b), HalfInt(num2_b + 2 * (length - 1)), "rho")
-            lhs = twisted_comult(delta_key(ms(seg)), ctx)
-            rhs = twisted_comult_segment_closed(seg, ctx)
-            if lhs != rhs:
-                ok = False
-                detail = f"mismatch at {seg}"
-                break
-        if not ok:
-            break
-    record("twisted-restriction-closed-form", ok, detail)
-
-    # Restriction is coassociative on both bases.
-    ok = True
-    detail = ""
-    for make in (delta_key, zeta_key):
-        x = make(
-            ms(
-                Segment(hi(0), hi(1), "rho"),
-                Segment(hi(1), hi(2), "rho"),
-            )
-        )
-        step = comult(x)
-        left = step.terms.bind(
-            lambda pair: comult(make(pair[0])).terms.map_keys(
-                lambda q, right=pair[1]: (q[0], q[1], right)
-            )
-        )
-        right = step.terms.bind(
-            lambda pair: comult(make(pair[1])).terms.map_keys(
-                lambda q, first=pair[0]: (first, q[0], q[1])
-            )
-        )
-        if left != right:
-            ok = False
-            detail = f"coassociativity broken on {x.basis}"
-    record("restriction-coassociative", ok, detail)
-
-    # The multisegment involution squares to the identity.
-    rng = random.Random(17)
-    ok = True
-    detail = ""
-    for _ in range(100):
-        m = sampling.random_multisegment(rng, ("rho",))
-        if mw_dual(mw_dual(m)) != m:
-            ok = False
-            detail = f"involution broken on {m}"
-            break
-    record("involution-squares-to-identity", ok, detail)
-
-    # Base change round trip between the two rigid bases.
-    rng = random.Random(23)
-    ok = True
-    detail = ""
-    for _ in range(50):
-        m = sampling.random_multisegment(rng, ("rho",), max_segments=3)
-        x = zeta_key(m)
-        back = delta_as_zeta(zeta_as_delta(x))
-        if back != x:
-            ok = False
-            detail = f"base change broken on {m}"
-            break
-    record("base-change-round-trip", ok, detail)
-
-    # Counting certificates for a small sweep.
-    ok = True
-    detail = ""
-    for n in (1, 2):
-        for d in enumerate_subquotients("1/2", n):
-            if classify(d) in (CaseTag.GEN_STEINBERG, CaseTag.CO_GEN_STEINBERG):
-                continue
-            report = check_prop41(d)
-            if not report.ok:
-                ok = False
-                detail = f"counting failed on {d}"
-                break
-        if not ok:
-            break
-    record("counting-sweep", ok, detail)
-
-    # The bare cuspidal point restricts to exactly one term, 1 (x) sigma.
-    full = module_comult(ClassElt.cusp(ctx.sigma), ctx)
-    items = list(full.terms.coeffs.items())
-    ok = len(items) == 1 and items[0][1] == 1 and items[0][0][0] == EMPTY_MS
-    record("cuspidal-point-restriction", ok, "" if ok else str(full))
-
-    return out
-
-
-def cmd_selftest(args: argparse.Namespace) -> int:
-    results = _selftest_checks()
-    all_ok = all(ok for _, ok, _ in results)
-    if args.json:
-        _emit_json(
-            {
-                "command": "selftest",
-                "checks": [
-                    {"name": name, "ok": ok, "detail": detail}
-                    for name, ok, detail in results
-                ],
-                "status": "ok" if all_ok else "fail",
-            }
-        )
-    else:
-        for name, ok, detail in results:
-            line = f"{'PASS' if ok else 'FAIL'} {name}"
-            if detail and not ok:
-                line += f": {detail}"
-            print(line)
-        print("selftest: " + ("all passed" if all_ok else "FAILURES above"))
-    return EXIT_OK if all_ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("datafile")
     p.add_argument("--json", action="store_true", help="JSON output")
     p.set_defaults(func=cmd_generic_check)
-
-    p = sub.add_parser("selftest", help="run quick internal identity checks")
-    p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

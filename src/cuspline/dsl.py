@@ -20,7 +20,12 @@ zeta basis), ``hd`` (highest derivative).  ``*`` binds tighter than ``|x|``.
 
 Parse problems raise :class:`DslSyntaxError` with a character position;
 ill-typed operations (mixed bases, wrong side of ``|x|``) raise
-:class:`DslTypeError`.
+:class:`DslTypeError`.  Two limits keep parsing and evaluation off the
+interpreter stack's edge, and past either one the input is a syntax error:
+an expression has at most ``MAX_LENGTH`` (10000) characters, and at most
+``MAX_NESTING`` (100) levels of parentheses, function calls and ``|x|``
+right operands nested inside one another.  Products of any length are
+evaluated in a loop.
 """
 from __future__ import annotations
 
@@ -161,11 +166,15 @@ Expr = Union[SegAtom, BaseAtom, SigmaAtom, Prod, Induce, Call]
 
 FUNCTIONS = ("mstar", "Mstar", "mustar", "mw", "dual", "D", "hd")
 
+MAX_LENGTH = 10_000
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.i = 0
+        self.nesting = -1  # parse_expr levels entered; the whole input is level 0
 
     @property
     def cur(self) -> Token:
@@ -186,11 +195,16 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> Expr:
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise DslSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels", self.cur.pos
+            )
         left = self.parse_product()
         if self.cur.kind == "induce":
             pos = self.advance().pos
-            right = self.parse_expr()
-            return Induce(left, right, pos)
+            left = Induce(left, self.parse_expr(), pos)
+        self.nesting -= 1
         return left
 
     def parse_product(self) -> Expr:
@@ -272,6 +286,10 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse an expression; raise :class:`DslSyntaxError` with a position."""
+    if len(text) > MAX_LENGTH:
+        raise DslSyntaxError(
+            f"expression longer than {MAX_LENGTH} characters", MAX_LENGTH
+        )
     parser = _Parser(_tokenize(text))
     expr = parser.parse_expr()
     if parser.cur.kind != "eof":
@@ -321,17 +339,24 @@ def _eval(node: Expr, ctx: Context) -> Value:
             raise DslTypeError(str(exc)) from exc
         return induced(EMPTY_MS, sym)
     if isinstance(node, Prod):
-        left = _eval(node.left, ctx)
-        right = _eval(node.right, ctx)
-        if not isinstance(left, GLElt) or not isinstance(right, GLElt):
-            raise DslTypeError(
-                f"'*' needs ring elements on both sides, got "
-                f"{_type_name(left)} and {_type_name(right)}"
-            )
-        try:
-            return left * right
-        except MixedBasisError as exc:
-            raise DslTypeError(str(exc)) from exc
+        # a product parses left-deep; walk its spine instead of recursing
+        spine = []
+        while isinstance(node, Prod):
+            spine.append(node.right)
+            node = node.left
+        left = _eval(node, ctx)
+        for factor in reversed(spine):
+            right = _eval(factor, ctx)
+            if not isinstance(left, GLElt) or not isinstance(right, GLElt):
+                raise DslTypeError(
+                    f"'*' needs ring elements on both sides, got "
+                    f"{_type_name(left)} and {_type_name(right)}"
+                )
+            try:
+                left = left * right
+            except MixedBasisError as exc:
+                raise DslTypeError(str(exc)) from exc
+        return left
     if isinstance(node, Induce):
         left = _eval(node.left, ctx)
         right = _eval(node.right, ctx)

@@ -19,8 +19,8 @@ All maps are exact and act on symbols; nothing here decides irreducibility.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import FrozenSet, Iterable, Optional, Tuple, Union
 
 from .core import (
     Context,
@@ -40,7 +40,6 @@ from .classical import (
     IndTemp,
     InducedSymbol,
     LanglandsDatum,
-    StGenSymbol,
     TauPM,
     TempBase,
     TemperedSymbol,
@@ -154,10 +153,6 @@ def class_support_lines(y: ClassElt) -> FrozenSet[str]:
     return out
 
 
-def _induced_lines(sym: InducedSymbol) -> FrozenSet[str]:
-    return sym.gl.lines() | sym.base.lines()
-
-
 # ---------------------------------------------------------------------------
 # Filtered restriction functionals
 # ---------------------------------------------------------------------------
@@ -177,7 +172,7 @@ def module_comult_filtered(
     full = module_comult(y, ctx)
     return full.filter(
         lambda key: key[0].lines() <= keep_left
-        and _induced_lines(key[1]) <= keep_right
+        and key[1].lines() <= keep_right
     )
 
 
@@ -356,14 +351,11 @@ class SplitDatum:
             raise PartitionError(
                 f"datum uses lines missing from the context: {sorted(missing)}"
             )
-        parts = []
-        for line_id in lines:
-            keep = frozenset({line_id})
-            gl = Multisegment(s for s in d.gl if s.line in keep)
-            parts.append(
-                (line_id, LanglandsDatum(gl, _project_tempered(d.temp, keep), d.dualized))
-            )
-        return SplitDatum(temp_sigma(d.temp), tuple(parts))
+        parts = tuple(
+            (line_id, project_datum(d, LinePartition.around(line_id, ctx), 1))
+            for line_id in lines
+        )
+        return SplitDatum(temp_sigma(d.temp), parts)
 
     def part(self, line_id: str) -> LanglandsDatum:
         for lid, d in self.parts:
@@ -388,29 +380,18 @@ class SplitDatum:
 # Transport between lines with equal reducibility points
 # ---------------------------------------------------------------------------
 
-def _relabel_segment(s: Segment, dst: str) -> Segment:
-    return Segment(s.b, s.e, dst)
-
-
-def _relabel_base(b: BaseSymbol, dst: str, sigma: str) -> BaseSymbol:
-    if isinstance(b, CuspSymbol):
-        return CuspSymbol(sigma)
-    if isinstance(b, StGenSymbol):
-        return StGenSymbol(dst, b.a, b.n, sigma)
-    return CoStGenSymbol(dst, b.a, b.n, sigma)
-
-
-def _relabel_tempered(t: TemperedSymbol, dst: str, sigma: str) -> TemperedSymbol:
+def _relabel(t: Union[TemperedSymbol, BaseSymbol], dst: str, sigma: str):
+    """A tempered or base symbol moved onto line ``dst`` over ``sigma``."""
     if isinstance(t, TempBase):
-        return TempBase(_relabel_base(t.base, dst, sigma))
-    if isinstance(t, TauPM):
-        return TauPM(dst, t.half, t.sign, sigma)
+        return TempBase(_relabel(t.base, dst, sigma))
+    if isinstance(t, IndTemp):
+        segs = tuple(replace(s, line=dst) for s in t.segs)
+        return IndTemp(segs, _relabel(t.inner, dst, sigma))
     if isinstance(t, DeltaPM):
-        return DeltaPM(_relabel_segment(t.seg, dst), t.sign, sigma)
-    return IndTemp(
-        tuple(_relabel_segment(s, dst) for s in t.segs),
-        _relabel_tempered(t.inner, dst, sigma),
-    )
+        return replace(t, seg=replace(t.seg, line=dst), sigma=sigma)
+    if isinstance(t, CuspSymbol):
+        return CuspSymbol(sigma)
+    return replace(t, line=dst, sigma=sigma)  # TauPM or a Steinberg-type atom
 
 
 def require_transportable(src: str, dst: str, ctx: Context) -> None:
@@ -460,9 +441,8 @@ def transport_line(
             f"datum is not supported on the source line {src!r}"
         )
     sigma = sigma_to if sigma_to is not None else temp_sigma(d.temp)
-    gl = d.gl.map_segments(lambda s: _relabel_segment(s, dst))
-    temp = _relabel_tempered(d.temp, dst, sigma)
-    return LanglandsDatum(gl, temp, d.dualized)
+    gl = d.gl.map_segments(lambda s: replace(s, line=dst))
+    return LanglandsDatum(gl, _relabel(d.temp, dst, sigma), d.dualized)
 
 
 def transport_gl(
@@ -475,7 +455,7 @@ def transport_gl(
             f"element is not supported on the source line {src!r}"
         )
     return x.map_keys(
-        lambda m: m.map_segments(lambda s: _relabel_segment(s, dst))
+        lambda m: m.map_segments(lambda s: replace(s, line=dst))
     )
 
 
@@ -495,7 +475,7 @@ def transport_class(
 
     def relabel(sym: InducedSymbol) -> InducedSymbol:
         sigma = sigma_to if sigma_to is not None else sym.base.sigma
-        gl = sym.gl.map_segments(lambda s: _relabel_segment(s, dst))
-        return InducedSymbol(gl, _relabel_base(sym.base, dst, sigma))
+        gl = sym.gl.map_segments(lambda s: replace(s, line=dst))
+        return InducedSymbol(gl, _relabel(sym.base, dst, sigma))
 
     return y.map_keys(relabel)

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .core import (
@@ -357,6 +358,28 @@ class _CaseFrame:
     def lower_ms(self) -> Multisegment:
         return Multisegment(self.lower)
 
+    @cached_property
+    def merged_list(self) -> Multisegment:
+        """The third certificate's list: upper, [-aa, c], lower and [aa]."""
+        point = Segment(self.aa, self.aa, self.d.line)
+        return self.upper_ms() + ms(self.merged, point) + self.lower_ms()
+
+    @cached_property
+    def branch(self) -> LanglandsDatum:
+        """The bottom-attached branch: this tiling with its bottom block
+        attached to sigma as a Steinberg atom."""
+        return replace(self.d, bottom=True).langlands_datum()
+
+    @cached_property
+    def marker(self) -> Counter:
+        """Support of dual(upper), the point -aa, dual(lower) and [-aa, c]."""
+        return _supp(
+            *(s.dual() for s in self.upper),
+            Segment(-self.aa, -self.aa, self.d.line),
+            *(s.dual() for s in self.lower),
+            self.merged,
+        )
+
 
 def _frame(d: SubqDatum) -> _CaseFrame:
     tag = classify(d)
@@ -391,16 +414,12 @@ def witness(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
 
 def _certificates_bottom_empty(f: _CaseFrame) -> Tuple[LanglandsDatum, ...]:
     d = f.d
-    base_list = f.upper_ms() + ms(f.pivot) + f.lower_ms()
-    tau_list = base_list
-    merged_list = f.upper_ms() + ms(f.merged) + f.lower_ms() + ms(
-        Segment(f.aa, f.aa, d.line)
-    )
+    tau_list = d.full_key()
     point_list = f.upper_ms() + ms(Segment(f.aa, f.aa, d.line)) + f.lower_ms()
     return (
         LanglandsDatum(tau_list, TauPM(d.line, f.aa, +1, d.sigma)),
         LanglandsDatum(tau_list, TauPM(d.line, f.aa, -1, d.sigma)),
-        LanglandsDatum(merged_list, TempBase(CuspSymbol(d.sigma))),
+        LanglandsDatum(f.merged_list, TempBase(CuspSymbol(d.sigma))),
         LanglandsDatum(point_list, DeltaPM(f.merged, +1, d.sigma)),
         LanglandsDatum(point_list, DeltaPM(f.merged, -1, d.sigma)),
     )
@@ -414,25 +433,9 @@ def _check_exponent_sum_exclusion(f: _CaseFrame) -> CertStep:
     """The third certificate cannot sit under the bottom-attached branch:
     its exponent vector fails the dominance bound of that branch's standard
     datum."""
-    d = f.d
-    total = f.sym.length + (d.n + 1)
-    lhs_ms = (
-        f.upper_ms()
-        + ms(f.merged)
-        + f.lower_ms()
-        + ms(Segment(f.aa, f.aa, d.line))
-    )
-    if classify(d) == CaseTag.CASE_A:
-        rhs_ms = f.upper_ms()
-    else:
-        shaved = [
-            Segment(s.b, s.e, s.line)
-            for s in f.lower
-            if s.b != d.alpha
-        ]
-        rhs_ms = f.upper_ms() + ms(f.pivot) + Multisegment(shaved)
-    lhs = exponent_vector(lhs_ms, total)
-    rhs = exponent_vector(rhs_ms, total)
+    total = f.sym.length + (f.d.n + 1)
+    lhs = exponent_vector(f.merged_list, total)
+    rhs = exponent_vector(f.branch.gl, total)
     if dominates(lhs, rhs):
         return CertStep(
             "exponent-dominance exclusion",
@@ -452,7 +455,6 @@ def _check_exponent_sum_exclusion(f: _CaseFrame) -> CertStep:
 def _check_top_merge_exclusion(f: _CaseFrame, ctx: Context) -> CertStep:
     """Marker exponents c (present) and c+1 (absent) rule out the branch
     that merges the pivot with the block above it."""
-    d = f.d
     if not f.upper:
         return CertStep(
             "top-merge exclusion",
@@ -461,14 +463,7 @@ def _check_top_merge_exclusion(f: _CaseFrame, ctx: Context) -> CertStep:
         )
     c = f.c
     c1 = c + 1
-    # marker: dual(upper) + point -aa + lower-dual + merged segment support
-    marker = (
-        _supp(*(s.dual() for s in f.upper))
-        + _supp(Segment(-f.aa, -f.aa, d.line))
-        + _supp(*(s.dual() for s in f.lower))
-        + _supp(f.merged)
-    )
-    if not (marker[c] == 1 and marker[c1] == 0):
+    if not (f.marker[c] == 1 and f.marker[c1] == 0):
         return CertStep(
             "top-merge exclusion",
             FAILED,
@@ -482,7 +477,7 @@ def _check_top_merge_exclusion(f: _CaseFrame, ctx: Context) -> CertStep:
             FAILED,
             "merged block does not reach past the marker exponent",
         )
-    merged_block = Segment(f.aa, d_top, d.line)
+    merged_block = Segment(f.aa, d_top, f.d.line)
     expansion = gl_twisted_part(delta_key(ms(merged_block)), ctx)
     for key in expansion.terms.coeffs:
         supp = _supp_ms(key)
@@ -513,15 +508,8 @@ def _check_top_merge_exclusion(f: _CaseFrame, ctx: Context) -> CertStep:
 def _check_double_point_exclusion(f: _CaseFrame, ctx: Context) -> CertStep:
     """Marker exponent -alpha occurs twice in the embedded certificate but at
     most once in any term of the bottom-attached branch."""
-    d = f.d
-    neg = -d.alpha
-    marker = (
-        _supp(*(s.dual() for s in f.upper))
-        + _supp(Segment(-f.aa, -f.aa, d.line))
-        + _supp(*(s.dual() for s in f.lower))
-        + _supp(f.merged)
-    )
-    if marker[neg] != 2:
+    neg = -f.d.alpha
+    if f.marker[neg] != 2:
         return CertStep(
             "double-point exclusion",
             FAILED,
@@ -538,20 +526,13 @@ def _check_double_point_exclusion(f: _CaseFrame, ctx: Context) -> CertStep:
                 f"witness restriction term {left} carries {neg} twice",
             )
     # the general-linear list of the bottom-attached branch misses -alpha
-    if classify(d) == CaseTag.CASE_A:
-        branch_list = f.upper_ms()
-        bot = StGenSymbol(d.line, d.alpha, (f.c - d.alpha).num2 // 2, d.sigma)
-    else:
-        shaved = [s for s in f.lower if s.b != d.alpha]
-        branch_list = f.upper_ms() + ms(f.pivot) + Multisegment(shaved)
-        bot = StGenSymbol(d.line, d.alpha, 0, d.sigma)
-    if _pm(_supp_ms(branch_list))[neg] > 0:
+    if _pm(_supp_ms(f.branch.gl))[neg] > 0:
         return CertStep(
             "double-point exclusion",
             FAILED,
             "branch list support reaches the doubled point",
         )
-    for (left, _right) in module_comult_base(bot).terms.coeffs:
+    for (left, _right) in module_comult_base(f.branch.temp.base).terms.coeffs:
         if _supp_ms(left)[neg] > 0:
             return CertStep(
                 "double-point exclusion",
@@ -630,7 +611,7 @@ def verify_hd_identity(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertStep
     if classify(d) != CaseTag.CASE_B:
         raise UnsupportedDatumError("derivative identification is for the "
                                     "singleton-bottom case")
-    product_key = ms(f.sym) + f.upper_ms() + ms(f.pivot) + f.lower_ms()
+    product_key = ms(f.sym) + d.full_key()
     route1 = highest_derivative(zeta_key(product_key))
     route2 = zeta_key(trim_key(product_key))
     if route1 != route2:
@@ -654,20 +635,14 @@ def verify_hd_identity(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertStep
             "trimmed witness and trimmed pivot do not merge to the trimmed "
             "stretched segment",
         )
-    candidate_key = (
-        f.upper_ms()
-        + ms(f.merged)
-        + f.lower_ms()
-        + ms(Segment(f.aa, f.aa, d.line))
-    )
     expected_hd = ms(union) + trim_key(f.upper_ms())
-    if trim_key(candidate_key) != expected_hd:
+    if trim_key(f.merged_list) != expected_hd:
         return CertStep(
             "derivative identification",
             FAILED,
             "candidate top derivative does not match",
         )
-    if _supp_ms(candidate_key) != _supp_ms(product_key):
+    if _supp_ms(f.merged_list) != _supp_ms(product_key):
         return CertStep(
             "derivative identification",
             FAILED,

@@ -1,10 +1,15 @@
 """Tests for the command-line interface: commands, exit codes, formats."""
 
+import argparse
 import json
+import pathlib
+import re
+import runpy
+import sys
 
 import pytest
 
-from cuspline import cli
+from cuspline import cli, dsl
 from cuspline.cli import (
     ContextFileError,
     load_context,
@@ -441,20 +446,58 @@ class TestGenericCheck:
         assert code == 2
 
 
-class TestSelftest:
-    def test_all_pass(self, capsys):
-        code, out, _ = run(capsys, "selftest")
-        assert code == 0
-        assert "all passed" in out
-        assert "FAIL" not in out
+class TestInputGuards:
+    """Inputs just past a limit exit 2 with a typed error, not a traceback."""
 
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--json")
-        doc = json.loads(out)
-        assert code == 0
-        assert doc["status"] == "ok"
-        assert all(c["ok"] for c in doc["checks"])
-        assert len(doc["checks"]) >= 5
+    def test_deep_expression_exit_2(self, capsys):
+        k = dsl.MAX_NESTING + 1
+        code, _, err = run(capsys, "eval", "(" * k + "sigma" + ")" * k)
+        assert code == 2
+        assert "nested deeper than" in err
+
+    def test_long_expression_exit_2(self, capsys):
+        code, _, err = run(capsys, "eval", "sigma".ljust(dsl.MAX_LENGTH + 1))
+        assert code == 2
+        assert "longer than" in err
+
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path):
+        depth = sys.getrecursionlimit() + 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth + "]" * depth)
+        code, _, err = run(capsys, "generic-check", str(path))
+        assert code == 2
+        assert "nested too deeply" in err
+
+    @pytest.mark.parametrize("flag", ["selfdual", "halfred", "tau_red"])
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_flags_must_be_json_booleans(self, capsys, tmp_path, flag, value):
+        path = tmp_path / "data.json"
+        path.write_text(
+            json.dumps([{"label": "a", "exponents": ["1/4"], flag: value}])
+        )
+        code, _, err = run(capsys, "generic-check", str(path))
+        assert code == 2
+        assert f"{flag} must be true or false" in err
+
+    def test_sweep_rejects_chain_length_past_the_cap(self, capsys):
+        path = pathlib.Path(__file__).parent.parent / "scripts" / "sweep_counting.py"
+        parse_args = runpy.run_path(str(path), run_name="sweep")["parse_args"]
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["--n", f"1,{cli.MAX_CHAIN_LENGTH + 1}"])
+        assert exc.value.code == 2
+        assert f"0 to {cli.MAX_CHAIN_LENGTH}" in capsys.readouterr().err
+
+
+def test_readme_command_table_matches_the_parser():
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    listed = re.findall(r"^\| `([a-z0-9-]+)` +\|", section, flags=re.M)
+    (sub,) = [
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert sorted(listed) == sorted(sub.choices)
+    assert len(listed) == len(set(listed))
 
 
 class TestParallelSweep:

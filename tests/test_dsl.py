@@ -1,6 +1,10 @@
 """Tests for the expression language: parsing, evaluation, and errors."""
 
+import sys
+
 import pytest
+
+from cuspline import dsl
 
 from cuspline.classical import (
     ClassElt,
@@ -249,3 +253,42 @@ class TestTypeErrors:
     def test_steinberg_atom_needs_nonnegative_level(self):
         with pytest.raises(DslTypeError):
             evaluate("St(1/2,-1)@rho")
+
+
+class TestInputLimits:
+    """Inputs just past a documented limit fail with a syntax error instead
+    of overflowing the interpreter stack."""
+
+    @staticmethod
+    def nested(k):
+        return "(" * k + "sigma" + ")" * k
+
+    def test_nesting_at_the_limit_evaluates(self):
+        assert evaluate(self.nested(dsl.MAX_NESTING)) == ClassElt.cusp()
+
+    def test_nesting_past_the_limit(self):
+        with pytest.raises(DslSyntaxError, match="nested deeper than"):
+            parse(self.nested(dsl.MAX_NESTING + 1))
+
+    def test_function_calls_count_as_nesting(self):
+        k = dsl.MAX_NESTING + 1
+        with pytest.raises(DslSyntaxError, match="nested deeper than"):
+            parse("mw(" * k + "d[0]@rho" + ")" * k)
+
+    def test_induction_chain_counts_as_nesting(self):
+        text = "d[1]@rho |x| " * dsl.MAX_NESTING + "sigma"
+        assert len(evaluate(text).terms) == 1
+        with pytest.raises(DslSyntaxError, match="nested deeper than"):
+            parse("d[1]@rho |x| " + text)
+
+    def test_length_past_the_limit(self):
+        text = "sigma".ljust(dsl.MAX_LENGTH + 1)
+        assert parse(text[:-1]) == SigmaAtom(0)
+        with pytest.raises(DslSyntaxError, match="longer than"):
+            parse(text)
+
+    def test_product_longer_than_the_stack(self):
+        k = sys.getrecursionlimit() + 1
+        text = "*".join(["d[0]@rho"] * k)
+        assert len(text) <= dsl.MAX_LENGTH
+        assert evaluate(text) == delta_key(ms(*[seg(0, 0)] * k))

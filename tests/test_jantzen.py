@@ -16,6 +16,7 @@ from cuspline.classical import (
     TauPM,
     TempBase,
     contragredient_datum,
+    dual_sigma,
     induced,
     module_comult,
     temp_sigma,
@@ -463,3 +464,58 @@ class TestDegrees:
         assert t.degree == 3 + 2
         d = LanglandsDatum(ms(seg(1, 2)), t)
         assert d.degree == 2 + 5
+
+
+def _rewrite(doc, key, f):
+    """``doc`` with every value stored under ``key`` replaced by ``f(value)``."""
+    if isinstance(doc, dict):
+        return {
+            k: f(v) if k == key else _rewrite(v, key, f) for k, v in doc.items()
+        }
+    if isinstance(doc, list):
+        return [_rewrite(v, key, f) for v in doc]
+    return doc
+
+
+def _kinds(doc):
+    if isinstance(doc, dict):
+        own = {doc["kind"]} if "kind" in doc else set()
+        return own.union(*(_kinds(v) for v in doc.values()))
+    if isinstance(doc, list):
+        return set().union(*(_kinds(v) for v in doc))
+    return set()
+
+
+class TestLabelRewrites:
+    """The contragredient and line transport rewrite exactly one label kind
+    and leave every other field of the datum alone."""
+
+    COST = TempBase(CoStGenSymbol("rho", hi("1/2"), 1))
+    EXTRA = (
+        LanglandsDatum(ms(seg(1, 2)), COST),
+        LanglandsDatum(EMPTY_MS, IndTemp((seg(-1, 1),), COST)),
+    )
+
+    def data(self, lines):
+        rng = random.Random(29)
+        out = [random_langlands_datum(rng, lines) for _ in range(150)]
+        out += list(self.EXTRA)
+        kinds = set().union(*(_kinds(d.to_jsonable()) for d in out))
+        assert {"cusp", "stgen", "costgen", "tau-pm", "delta-pm", "ind-temp"} <= kinds
+        return out
+
+    def test_contragredient_flips_only_sigma(self):
+        for d in self.data(("rho", "tau")):
+            flipped = contragredient_datum(d, CTX).to_jsonable()
+            assert flipped == _rewrite(d.to_jsonable(), "sigma", dual_sigma)
+
+    def test_transport_moves_only_the_line(self):
+        for d in self.data(("rho",)):
+            moved = transport_line(d, "rho", "tau", CTX).to_jsonable()
+            assert moved == _rewrite(d.to_jsonable(), "line", lambda _: "tau")
+
+    def test_transport_with_sigma_rename(self):
+        for d in self.data(("rho",)):
+            moved = transport_line(d, "rho", "tau", CTX, sigma_to="s2")
+            expected = _rewrite(d.to_jsonable(), "line", lambda _: "tau")
+            assert moved.to_jsonable() == _rewrite(expected, "sigma", lambda _: "s2")
