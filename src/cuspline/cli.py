@@ -397,11 +397,16 @@ def _load_generic_data(path: str) -> List[GenericDatum]:
                 raise MalformedDatumError(
                     f"entry {i}: {name} must be true or false, got {value!r}"
                 )
+        exponents = entry.get("exponents", [])
+        if not isinstance(exponents, list):
+            raise MalformedDatumError(
+                f"entry {i}: exponents must be a JSON array, got {exponents!r}"
+            )
         try:
             out.append(
                 GenericDatum(
                     label=entry["label"],
-                    exponents=tuple(entry.get("exponents", ())),
+                    exponents=tuple(exponents),
                     partner=entry.get("partner"),
                     line=entry.get("line"),
                     **flags,

@@ -5,14 +5,19 @@ selfduality flag and (optionally) the point of reducibility alpha are tracked.
 A *segment* [b, e] on a line is a nonempty interval of half-integer exponents
 with integer length e - b + 1.  The empty segment is represented by ``None``
 (a marker, never a value stored inside multisegments).  A *multisegment* is a
-finite multiset of segments kept in a canonical order, and a ``FormalSum`` is
-a finitely supported Z-linear combination of hashable keys with no explicit
-zero coefficients.  ``LinearElt`` is the one element type built on it: a
+finite multiset of segments kept in a canonical order.  Multisegments are
+hash-consed: equal values are one object, found through a weak intern table,
+so the restriction code's dict keys hash and compare by identity, in C, and
+the table never keeps a dead value alive.  A ``FormalSum`` is a finitely
+supported Z-linear combination of hashable keys with no explicit zero
+coefficients.  ``LinearElt`` is the one element type built on it: a
 ``FormalSum`` tagged with its rigid basis, whose subclasses are the ring,
 ring-tensor, module and module-tensor elements.
 """
 from __future__ import annotations
 
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generic, Iterable, Iterator, Mapping, Optional, Tuple, TypeVar
 
@@ -208,11 +213,19 @@ def linked_union(s1: Segment, s2: Segment) -> Optional[Segment]:
 # ---------------------------------------------------------------------------
 
 class Multisegment:
-    """A finite multiset of segments in canonical order (immutable, hashable)."""
+    """A finite multiset of segments in canonical order (immutable, hash-consed).
 
-    __slots__ = ("segments", "_hash")
+    Equal multisegments are one object: every constructor returns the value
+    held in a weak intern table, keyed on the tuple of the segments' sort
+    keys (each fixes its segment).  ``==`` and ``hash`` are therefore the
+    C-level identity ones, so the dicts of the restriction code hash and
+    compare their keys without calling Python.  An entry goes when its
+    multisegment dies, so the table holds only live values.
+    """
 
-    def __init__(self, segments: Iterable[Segment] = ()):
+    __slots__ = ("segments", "_sig", "__weakref__")
+
+    def __new__(cls, segments: Iterable[Segment] = ()):
         segs = []
         for s in segments:
             if s is None:
@@ -221,22 +234,13 @@ class Multisegment:
                 raise TypeError(f"not a segment: {s!r}")
             segs.append(s)
         segs.sort(key=Segment.sort_key)
-        object.__setattr__(self, "segments", tuple(segs))
-        object.__setattr__(self, "_hash", None)
+        return _intern(tuple(segs), tuple(s.sort_key() for s in segs))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Multisegment is immutable")
 
     def __reduce__(self):  # immutability breaks default pickling
         return (Multisegment, (self.segments,))
-
-    @staticmethod
-    def _from_sorted(segments: Tuple[Segment, ...]) -> "Multisegment":
-        """Trusted constructor: segments already canonically sorted."""
-        out = object.__new__(Multisegment)
-        object.__setattr__(out, "segments", segments)
-        object.__setattr__(out, "_hash", None)
-        return out
 
     # -- container protocol ------------------------------------------------
     def __iter__(self) -> Iterator[Segment]:
@@ -245,33 +249,28 @@ class Multisegment:
     def __len__(self) -> int:
         return len(self.segments)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Multisegment) and self.segments == other.segments
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:  # cached: keys are rehashed millions of times
-            h = hash(("ms",) + self.segments)
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __add__(self, other: "Multisegment") -> "Multisegment":
         if not other.segments:
             return self
         if not self.segments:
             return other
-        # both runs are sorted, so Timsort merges them in one pass
-        merged = sorted(self.segments + other.segments, key=Segment.sort_key)
-        return Multisegment._from_sorted(tuple(merged))
+        sig = tuple(sorted(self._sig + other._sig))
+        ref = _INTERNED.get(sig)
+        out = ref and ref()
+        if out is None:  # a new value: both runs are sorted, Timsort merges them
+            merged = sorted(self.segments + other.segments, key=Segment.sort_key)
+            out = _intern(tuple(merged), sig)
+        return out
 
     def remove(self, s: Segment) -> "Multisegment":
         """Multiset-remove one copy of s (KeyError if absent)."""
-        segs = list(self.segments)
         try:
-            segs.remove(s)
+            i = self.segments.index(s)
         except ValueError:
             raise KeyError(f"segment {s} not in {self}")
-        return Multisegment._from_sorted(tuple(segs))
+        return _intern(
+            self.segments[:i] + self.segments[i + 1:], self._sig[:i] + self._sig[i + 1:]
+        )
 
     # -- invariants --------------------------------------------------------
     @property
@@ -296,7 +295,7 @@ class Multisegment:
 
     # -- ordering / presentation ------------------------------------------
     def sort_key(self) -> tuple:
-        return tuple(s.sort_key() + (s.b.num2,) for s in self.segments)
+        return self._sig  # the segments' sort keys, in order
 
     def __str__(self) -> str:
         if not self.segments:
@@ -308,6 +307,36 @@ class Multisegment:
 
     def to_jsonable(self) -> dict:
         return {"segments": [s.to_jsonable() for s in self.segments]}
+
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned multisegment that knows its key."""
+
+    __slots__ = ("key",)
+
+
+_INTERNED: Dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref, _table=_INTERNED, _remove=_remove_dead_weakref) -> None:
+    # removes the entry only while it still holds a dead reference: a value
+    # interned again under the key since stays
+    _remove(_table, ref.key)
+
+
+def _intern(segments: Tuple[Segment, ...], sig: tuple) -> Multisegment:
+    """The one multisegment of the canonically sorted ``segments``, whose
+    sort keys are ``sig``; made and entered in the table on first request."""
+    ref = _INTERNED.get(sig)
+    out = ref and ref()
+    if out is None:
+        out = object.__new__(Multisegment)
+        object.__setattr__(out, "segments", segments)
+        object.__setattr__(out, "_sig", sig)
+        ref = _Ref(out, _forget)
+        ref.key = sig
+        _INTERNED[sig] = ref
+    return out
 
 
 EMPTY_MS = Multisegment()

@@ -24,8 +24,8 @@ ill-typed operations (mixed bases, wrong side of ``|x|``) raise
 interpreter stack's edge, and past either one the input is a syntax error:
 an expression has at most ``MAX_LENGTH`` (10000) characters, and at most
 ``MAX_NESTING`` (100) levels of parentheses, function calls and ``|x|``
-right operands nested inside one another.  Products of any length are
-evaluated in a loop.
+right operands nested inside one another.  A product of any length is one
+flat ``Prod`` node, evaluated in a loop.
 """
 from __future__ import annotations
 
@@ -143,9 +143,22 @@ class SigmaAtom:
 
 @dataclass(frozen=True)
 class Prod:
-    left: "Expr"
-    right: "Expr"
+    """A product of two or more factors, evaluated left to right; ``pos`` is
+    the position of its first ``*``.  The tree stays flat, so comparing and
+    printing a long product never recurses per factor."""
+
+    factors: Tuple["Expr", ...]
     pos: int
+
+    @property
+    def left(self) -> "Expr":
+        """All factors but the last (the product is left-associative)."""
+        rest = self.factors[:-1]
+        return rest[0] if len(rest) == 1 else Prod(rest, self.pos)
+
+    @property
+    def right(self) -> "Expr":
+        return self.factors[-1]
 
 
 @dataclass(frozen=True)
@@ -208,12 +221,12 @@ class _Parser:
         return left
 
     def parse_product(self) -> Expr:
-        left = self.parse_unary()
+        factors = [self.parse_unary()]
+        pos = self.cur.pos
         while self.cur.kind == "*":
-            pos = self.advance().pos
-            right = self.parse_unary()
-            left = Prod(left, right, pos)
-        return left
+            self.advance()
+            factors.append(self.parse_unary())
+        return factors[0] if len(factors) == 1 else Prod(tuple(factors), pos)
 
     def parse_unary(self) -> Expr:
         tok = self.cur
@@ -339,13 +352,8 @@ def _eval(node: Expr, ctx: Context) -> Value:
             raise DslTypeError(str(exc)) from exc
         return induced(EMPTY_MS, sym)
     if isinstance(node, Prod):
-        # a product parses left-deep; walk its spine instead of recursing
-        spine = []
-        while isinstance(node, Prod):
-            spine.append(node.right)
-            node = node.left
-        left = _eval(node, ctx)
-        for factor in reversed(spine):
+        left = _eval(node.factors[0], ctx)
+        for factor in node.factors[1:]:
             right = _eval(factor, ctx)
             if not isinstance(left, GLElt) or not isinstance(right, GLElt):
                 raise DslTypeError(

@@ -479,6 +479,14 @@ class TestInputGuards:
         assert code == 2
         assert f"{flag} must be true or false" in err
 
+    @pytest.mark.parametrize("value", ["12", "13/40", 5, {}])
+    def test_exponents_must_be_a_json_array(self, capsys, tmp_path, value):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps([{"label": "a", "exponents": value}]))
+        code, out, err = run(capsys, "generic-check", str(path))
+        assert code == 2 and out == ""
+        assert "entry 0: exponents must be a JSON array" in err
+
     def test_sweep_rejects_chain_length_past_the_cap(self, capsys):
         path = pathlib.Path(__file__).parent.parent / "scripts" / "sweep_counting.py"
         parse_args = runpy.run_path(str(path), run_name="sweep")["parse_args"]
@@ -515,6 +523,41 @@ class TestParallelSweep:
         )
         assert code1 == code2 == 0
         assert json.loads(out1) == json.loads(out2)
+
+    def test_pool_output_is_byte_identical_and_reinterned(self, capsys, monkeypatch):
+        """A real pool of 2 workers: its unpickled reports hold the parent's
+        interned multisegments, so they equal the sequential reports."""
+        from cuspline.core import Multisegment
+
+        pooled = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pooled.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+            def map(self, fn, items):
+                items = list(items)
+                reports = list(super().map(fn, items))
+                pooled.append((items, reports))
+                return reports
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["check-prop41", "--alpha", "1", "--n", "4", "--all", "--json"]
+        code1, out1, _ = run(capsys, *argv, "--jobs", "1")
+        assert pooled == []
+        code2, out2, _ = run(capsys, *argv, "--jobs", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+        [size, (payloads, reports)] = pooled
+        assert size == 2 and len(reports) == json.loads(out1)["checked"] > 2
+        assert reports == [cli._run_one_check(p) for p in payloads]
+        for report in reports:
+            keys = list(report.witness.terms.coeffs)
+            keys += [c.gl for c in report.certificates]
+            for key in keys:
+                assert Multisegment(list(key)) is key
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "x"])
     def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):

@@ -1,10 +1,18 @@
 """Unit tests for half-integers, segments, multisegments and formal sums."""
+import copy
+import gc
 import json
+import pickle
 import random
+import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cuspline import core
 from cuspline.core import (
+    EMPTY_MS,
     EmptySegmentError,
     FormalSum,
     Multisegment,
@@ -129,6 +137,112 @@ class TestMultisegment:
 
     def test_empty_markers_vanish(self):
         assert ms(None, seg(0, 0), None) == ms(seg(0, 0))
+
+
+LINES = ("rho", "tau", "chi")
+
+
+@st.composite
+def sampled(draw, lines=LINES, **shape):
+    """A multi-line key from the package's sampler, seeded by hypothesis."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return random_multisegment(rng, lines, **shape)
+
+
+def fresh(s: Segment) -> Segment:
+    """An equal segment sharing no object with ``s``."""
+    return Segment(HalfInt(s.b.num2), HalfInt(s.e.num2), str(s.line))
+
+
+def triples(m: Multisegment) -> Counter:
+    return Counter((s.b.num2, s.e.num2, s.line) for s in m)
+
+
+def interned_on(prefix: str) -> int:
+    """Entries of the intern table with a segment on a line named prefix*."""
+    return sum(
+        any(key[2].startswith(prefix) for key in sig) for sig in core._INTERNED
+    )
+
+
+class TestInterning:
+    """Multisegments are hash-consed: every route to a value returns the one
+    object, identity agrees with multiset equality, and dead values leave
+    the table."""
+
+    @given(sampled(), sampled(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_every_route_returns_the_one_object(self, a, b, rnd):
+        shuffled = [fresh(s) for s in a]
+        rnd.shuffle(shuffled)
+        assert Multisegment(shuffled) is a
+        both = a + b
+        assert both is Multisegment([fresh(s) for s in list(b) + list(a)])
+        assert b + a is both and both + EMPTY_MS is both and EMPTY_MS + both is both
+        for s in b:
+            assert both.remove(fresh(s)) is a + b.remove(s)
+        assert a.map_segments(fresh) is a
+        assert a.map_segments(Segment.dual).map_segments(Segment.dual) is a
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps((a, both), protocol)) == (a, both)
+            assert pickle.loads(pickle.dumps(a, protocol)) is a
+        assert copy.copy(a) is a and copy.deepcopy(both) is both
+
+    @given(
+        sampled(max_segments=3, window=1, max_length=2),
+        st.dictionaries(st.sampled_from(LINES), st.sampled_from(LINES)),
+        sampled(max_segments=3, window=1, max_length=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_identity_is_multiset_equality(self, a, relabel, c):
+        # the second input differs from the first at most in its lines; each
+        # value is judged by the triples of the segments it was built from
+        inputs = [
+            [fresh(s) for s in a],
+            [Segment(s.b, s.e, relabel.get(s.line, s.line)) for s in reversed(a.segments)],
+            [fresh(s) for s in c],
+        ]
+        built = [Multisegment(segs) for segs in inputs]
+        for x, segs in zip(built, inputs):
+            assert triples(x) == triples(segs)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            x, y = built[i], built[j]
+            same = triples(inputs[i]) == triples(inputs[j])
+            assert (x == y) is same and (x is y) is same and (x != y) is not same
+            assert (hash(x) == hash(y)) or not same
+            assert len({x, y}) == 2 - same
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_dead_values_leave_the_table(self, seed):
+        rng = random.Random(seed)
+        assert interned_on("gc-") == 0
+        made = [
+            random_multisegment(rng, ("gc-a", "gc-b"), max_segments=4)
+            for _ in range(40)
+        ]
+        made.append(ms(seg(0, 0, "gc-a")))
+        assert interned_on("gc-") == len({id(m) for m in made if m.segments})
+        sums = [x + y for x in made[:10] for y in made[-10:]]
+        assert interned_on("gc-") == len({id(m) for m in made + sums if m.segments})
+        del made, sums
+        gc.collect()
+        assert interned_on("gc-") == 0
+
+    def test_identity_outlives_cache_clearing_and_churn(self):
+        kept = ms(seg(0, 2, "churn-a"), seg(1, 1, "churn-b"))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cuspline"):
+                for value in vars(module).values():
+                    if hasattr(value, "cache_clear"):
+                        value.cache_clear()
+        alive = [ms(seg(0, i % 7, "churn-c"), seg(i, i, "churn-c")) for i in range(5000)]
+        assert interned_on("churn-c") == len(alive)
+        assert ms(seg(1, 1, "churn-b"), seg(0, 2, "churn-a")) is kept
+        assert ms(seg(0, 1, "churn-c"), seg(1, 1, "churn-c")) is alive[1]
+        del alive
+        gc.collect()
+        assert interned_on("churn-c") == 0
 
 
 class TestFormalSum:

@@ -287,6 +287,18 @@ class TestInputLimits:
         with pytest.raises(DslSyntaxError, match="longer than"):
             parse(text)
 
+    def test_long_product_is_one_flat_node(self):
+        # 1400 factors fit under the length limit; the tree compares and
+        # prints without recursing once per factor
+        text = "*".join(["d[0]@r"] * 1400)
+        assert len(text) <= dsl.MAX_LENGTH
+        tree = parse(text)
+        assert tree == parse(text) and tree != parse(text + "*d[1]@r")
+        assert tree.factors == tuple(
+            SegAtom("d", hi(0), hi(0), "r", 7 * i) for i in range(1400)
+        )
+        assert repr(tree).count("SegAtom(") == 1400
+
     def test_product_longer_than_the_stack(self):
         k = sys.getrecursionlimit() + 1
         text = "*".join(["d[0]@rho"] * k)

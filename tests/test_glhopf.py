@@ -22,6 +22,7 @@ from cuspline.glhopf import (
     DELTA,
     ZETA,
     GLElt,
+    TensorGL,
     comult,
     comult_key,
     contragredient,
@@ -237,6 +238,15 @@ class TestTwistedMultiplicative:
     @settings(max_examples=100, deadline=None)
     def test_keys(self, m, basis):
         self.assert_matches_reference(GLElt.key(basis, m))
+
+    @given(sampled_multisegment())
+    @settings(max_examples=100, deadline=None)
+    def test_delta_keys_against_the_closed_form(self, m):
+        # an independent route: the product of the one-segment closed forms
+        want = TensorGL.unit(DELTA)
+        for s in m:
+            want = want * twisted_comult_segment_closed(s)
+        assert twisted_comult(delta_key(m)) == want
 
     @given(
         st.lists(
