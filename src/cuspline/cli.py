@@ -112,11 +112,21 @@ def parse_context(text: str) -> Context:
     return Context(sigma, lines)
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 input file; one that cannot be read is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CusplineError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise CusplineError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_context(path: Optional[str]) -> Context:
     if path is None:
         return DEFAULT_CONTEXT
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_context(fh.read())
+    return parse_context(_read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +381,11 @@ def cmd_transport(args: argparse.Namespace) -> int:
 
 
 def _load_generic_data(path: str) -> List[GenericDatum]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise MalformedDatumError("JSON input is nested too deeply") from None
+    text = _read_text(path)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise MalformedDatumError("JSON input is nested too deeply") from None
     if isinstance(doc, dict):
         doc = doc.get("data", doc.get("labels"))
         if doc is None:
@@ -570,9 +580,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except UnsupportedDatumError as exc:
         print(f"error: unsupported datum: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON input: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ def _fraction(value) -> Fraction:
         return value.as_fraction()
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise MalformedDatumError(f"not an exponent: {value!r}") from exc
 
 

@@ -18,8 +18,22 @@ atom and the fully-split Langlands quotient) the module produces a
 *witness*: a selfdual product factor pi such that ``pi |x| gamma`` has
 length at least 5 while the Jacquet-module multiplicity of
 ``pi (x) gamma`` is at most 4.  The checks emit auditable step lists; a
-step is either VERIFIED (a finite computation done here) or AXIOM (an
-input fact of representation theory, with its citation tag).
+step is VERIFIED (a finite computation done here), AXIOM (an input fact of
+representation theory, with its citation tag), or failed (a computation
+here refuted its claim).
+
+Each datum is certified in one pass.  ``_run_check`` classifies it once
+and builds its ``_CaseFrame`` once (for a case-C datum, the frame of its
+bottom-empty involution partner); the frame holds the case tag, the
+tiling, the pivot geometry and the witness, and every step helper reads
+it.  The steps come in a fixed order: the witness window, the length steps
+(for a length check), then the multiplicity steps (for a multiplicity
+check).  A check helper returns the detail of its VERIFIED step or raises
+``_Refuted`` with the detail of the refutation, and ``_run_steps`` is the
+one place that records a refutation as a failed step.  Its policy: a
+refuted witness-window or length step does not stop the later ones, the
+first refuted multiplicity step ends the multiplicity steps, and a report
+with a failed step carries no bounds and no counting conclusion.
 """
 from __future__ import annotations
 
@@ -27,7 +41,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     Context,
@@ -189,28 +203,11 @@ class SubqDatum:
         out.append(Segment(start, self.alpha + self.n, self.line))
         return tuple(reversed(out))
 
-    def bottom_block(self) -> Segment:
-        return self.blocks()[-1]
-
-    def gl_blocks(self) -> Tuple[Segment, ...]:
-        """The Langlands-list blocks (the bottom one is dropped when it is
-        attached to sigma)."""
-        blocks = self.blocks()
-        return blocks[:-1] if self.bottom else blocks
-
     def full_key(self) -> Multisegment:
         return Multisegment(self.blocks())
 
     def langlands_datum(self) -> LanglandsDatum:
-        gl = Multisegment(self.gl_blocks())
-        if self.bottom:
-            bot = self.bottom_block()
-            temp = TempBase(
-                StGenSymbol(self.line, bot.b, bot.length - 1, self.sigma)
-            )
-        else:
-            temp = TempBase(CuspSymbol(self.sigma))
-        return LanglandsDatum(gl, temp)
+        return _langlands_datum(self, self.blocks(), self.bottom)
 
     def __str__(self) -> str:
         body = ",".join(str(b) for b in self.blocks())
@@ -228,6 +225,19 @@ class SubqDatum:
         }
 
 
+def _langlands_datum(
+    d: SubqDatum, blocks: Tuple[Segment, ...], bottom: bool
+) -> LanglandsDatum:
+    """The Langlands datum of the tiling ``blocks`` of ``d``; with ``bottom``
+    the bottom block leaves the list and is attached to sigma as a
+    Steinberg atom."""
+    if not bottom:
+        return LanglandsDatum(Multisegment(blocks), TempBase(CuspSymbol(d.sigma)))
+    bot = blocks[-1]
+    temp = TempBase(StGenSymbol(d.line, bot.b, bot.length - 1, d.sigma))
+    return LanglandsDatum(Multisegment(blocks[:-1]), temp)
+
+
 def enumerate_subquotients(
     alpha, n: int, line: str = "rho", sigma: str = "sigma"
 ) -> Tuple[SubqDatum, ...]:
@@ -241,17 +251,18 @@ def enumerate_subquotients(
     return tuple(out)
 
 
+_EXTREMES = (CaseTag.GEN_STEINBERG, CaseTag.CO_GEN_STEINBERG)
+
+
 def classify(d: SubqDatum) -> CaseTag:
-    blocks = d.blocks()
+    """The case of a datum, read off its cuts: the tiling is one block iff
+    there is no cut, all blocks are points iff every step is cut, and the
+    bottom block is longer than a point iff the first step is not cut."""
     if d.bottom:
-        if len(blocks) == 1:
-            return CaseTag.GEN_STEINBERG
-        return CaseTag.CASE_C
-    if all(b.length == 1 for b in blocks):
+        return CaseTag.CASE_C if any(d.cuts) else CaseTag.GEN_STEINBERG
+    if all(d.cuts):
         return CaseTag.CO_GEN_STEINBERG
-    if blocks[-1].length > 1:
-        return CaseTag.CASE_A
-    return CaseTag.CASE_B
+    return CaseTag.CASE_B if d.cuts[0] else CaseTag.CASE_A
 
 
 def aubert_pair(d: SubqDatum) -> SubqDatum:
@@ -322,12 +333,13 @@ def _counter_le(small: Counter, big: Counter) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Case accessors
+# Case frames
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _CaseFrame:
-    """Resolved geometry shared by the two bottom-empty cases.
+    """A bottom-empty datum resolved once: its case tag, its tiling (top
+    block first), the pivot geometry and the witness.
 
     ``aa`` is the reflection radius (alpha for the long-bottom case, the
     shifted alpha' for the singleton-bottom case), ``pivot`` the block whose
@@ -336,21 +348,33 @@ class _CaseFrame:
     """
 
     d: SubqDatum
+    tag: CaseTag
+    blocks: Tuple[Segment, ...]
     aa: HalfInt            # reflection radius
     c: HalfInt             # end of the pivot block
     pivot: Segment         # [aa, c]
     upper: Tuple[Segment, ...]   # blocks above the pivot (descending)
     lower: Tuple[Segment, ...]   # singleton blocks below the pivot (descending)
 
-    @property
+    @cached_property
     def sym(self) -> Segment:
         """The symmetric witness segment [-aa, aa]."""
         return Segment(-self.aa, self.aa, self.d.line)
+
+    @cached_property
+    def witness(self) -> GLElt:
+        """The selfdual product factor: the delta class of [-aa, aa]."""
+        return delta_key(ms(self.sym))
 
     @property
     def merged(self) -> Segment:
         """The pivot extended across the symmetric segment: [-aa, c]."""
         return Segment(-self.aa, self.c, self.d.line)
+
+    @cached_property
+    def full(self) -> Multisegment:
+        """The whole tiling as one multisegment."""
+        return Multisegment(self.blocks)
 
     def upper_ms(self) -> Multisegment:
         return Multisegment(self.upper)
@@ -368,7 +392,7 @@ class _CaseFrame:
     def branch(self) -> LanglandsDatum:
         """The bottom-attached branch: this tiling with its bottom block
         attached to sigma as a Steinberg atom."""
-        return replace(self.d, bottom=True).langlands_datum()
+        return _langlands_datum(self.d, self.blocks, bottom=True)
 
     @cached_property
     def marker(self) -> Counter:
@@ -381,44 +405,51 @@ class _CaseFrame:
         )
 
 
-def _frame(d: SubqDatum) -> _CaseFrame:
-    tag = classify(d)
+def _frame(d: SubqDatum, tag: CaseTag) -> _CaseFrame:
+    """The frame of a case-A or case-B datum: the pivot is its lowest block
+    longer than a point (the bottom block in case A)."""
     blocks = d.blocks()
-    if tag == CaseTag.CASE_A:
-        pivot = blocks[-1]
-        return _CaseFrame(d, pivot.b, pivot.e, pivot, blocks[:-1], ())
-    if tag == CaseTag.CASE_B:
-        idx = max(i for i, b in enumerate(blocks) if b.length > 1)
-        pivot = blocks[idx]
-        return _CaseFrame(d, pivot.b, pivot.e, pivot, blocks[:idx], blocks[idx + 1:])
-    raise UnsupportedDatumError(f"no case frame for {tag.value}")
+    idx = max(i for i, b in enumerate(blocks) if b.length > 1)
+    pivot = blocks[idx]
+    return _CaseFrame(
+        d, tag, blocks, pivot.b, pivot.e, pivot, blocks[:idx], blocks[idx + 1:]
+    )
+
+
+def _partner_frame(d: SubqDatum) -> _CaseFrame:
+    """The frame of the involution partner of a case-C datum."""
+    pair = aubert_pair(d)
+    tag = classify(pair)
+    if tag not in (CaseTag.CASE_A, CaseTag.CASE_B):
+        raise CertificateError(
+            f"dual partner of {d} classifies as {tag.value}; expected a "
+            "bottom-empty case"
+        )
+    return _frame(pair, tag)
 
 
 def witness(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
     """The selfdual product factor used by the counting argument."""
     tag = classify(d)
-    if tag in (CaseTag.GEN_STEINBERG, CaseTag.CO_GEN_STEINBERG):
+    if tag in _EXTREMES:
         raise UnsupportedDatumError(
             "the two extreme subquotients carry no counting witness"
         )
     if tag == CaseTag.CASE_C:
-        f = _frame(aubert_pair(d))
-        return zeta_key(ms(f.sym))
-    f = _frame(d)
-    return delta_key(ms(f.sym))
+        return zeta_key(ms(_partner_frame(d).sym))
+    return _frame(d, tag).witness
 
 
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
 
-def _certificates_bottom_empty(f: _CaseFrame) -> Tuple[LanglandsDatum, ...]:
+def _certificates(f: _CaseFrame) -> Tuple[LanglandsDatum, ...]:
     d = f.d
-    tau_list = d.full_key()
     point_list = f.upper_ms() + ms(Segment(f.aa, f.aa, d.line)) + f.lower_ms()
     return (
-        LanglandsDatum(tau_list, TauPM(d.line, f.aa, +1, d.sigma)),
-        LanglandsDatum(tau_list, TauPM(d.line, f.aa, -1, d.sigma)),
+        LanglandsDatum(f.full, TauPM(d.line, f.aa, +1, d.sigma)),
+        LanglandsDatum(f.full, TauPM(d.line, f.aa, -1, d.sigma)),
         LanglandsDatum(f.merged_list, TempBase(CuspSymbol(d.sigma))),
         LanglandsDatum(point_list, DeltaPM(f.merged, +1, d.sigma)),
         LanglandsDatum(point_list, DeltaPM(f.merged, -1, d.sigma)),
@@ -426,10 +457,53 @@ def _certificates_bottom_empty(f: _CaseFrame) -> Tuple[LanglandsDatum, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Steps and the runner
+# ---------------------------------------------------------------------------
+
+class _Refuted(Exception):
+    """A check found its claim false; the message is the step's detail."""
+
+
+class _Check(NamedTuple):
+    """A step decided here: ``run()`` returns the detail of the passed step
+    or raises ``_Refuted``.  With a citation, the passed step is an AXIOM
+    whose precondition was checked here."""
+
+    label: str
+    run: Callable[[], str]
+    citation: Optional[str] = None
+
+
+def _run_steps(
+    items: Iterable, stop_at_failure: bool = False
+) -> Tuple[List[CertStep], bool]:
+    """Record ``items`` in order -- a ``CertStep`` as it is, a ``_Check`` by
+    running it -- and whether no check was refuted.  With
+    ``stop_at_failure`` the first refutation ends the list."""
+    steps: List[CertStep] = []
+    ok = True
+    for item in items:
+        if isinstance(item, CertStep):
+            steps.append(item)
+            continue
+        try:
+            detail = item.run()
+        except _Refuted as exc:
+            steps.append(CertStep(item.label, FAILED, str(exc)))
+            ok = False
+            if stop_at_failure:
+                break
+            continue
+        status = AXIOM if item.citation else VERIFIED
+        steps.append(CertStep(item.label, status, detail, item.citation))
+    return steps, ok
+
+
+# ---------------------------------------------------------------------------
 # Mechanical exclusion checks
 # ---------------------------------------------------------------------------
 
-def _check_exponent_sum_exclusion(f: _CaseFrame) -> CertStep:
+def _check_exponent_sum_exclusion(f: _CaseFrame) -> str:
     """The third certificate cannot sit under the bottom-attached branch:
     its exponent vector fails the dominance bound of that branch's standard
     datum."""
@@ -437,118 +511,77 @@ def _check_exponent_sum_exclusion(f: _CaseFrame) -> CertStep:
     lhs = exponent_vector(f.merged_list, total)
     rhs = exponent_vector(f.branch.gl, total)
     if dominates(lhs, rhs):
-        return CertStep(
-            "exponent-dominance exclusion",
-            FAILED,
+        raise _Refuted(
             "merged-list certificate unexpectedly dominated by the "
-            "bottom-attached branch",
+            "bottom-attached branch"
         )
-    return CertStep(
-        "exponent-dominance exclusion",
-        VERIFIED,
+    return (
         "exponent vector of the merged-list certificate is not dominated by "
         "the bottom-attached branch's standard datum "
-        f"(common length {total})",
+        f"(common length {total})"
     )
 
 
-def _check_top_merge_exclusion(f: _CaseFrame, ctx: Context) -> CertStep:
+def _check_top_merge_exclusion(f: _CaseFrame, ctx: Context) -> str:
     """Marker exponents c (present) and c+1 (absent) rule out the branch
     that merges the pivot with the block above it."""
     if not f.upper:
-        return CertStep(
-            "top-merge exclusion",
-            VERIFIED,
-            "no block above the pivot, so the merge branch does not exist",
-        )
+        return "no block above the pivot, so the merge branch does not exist"
     c = f.c
     c1 = c + 1
     if not (f.marker[c] == 1 and f.marker[c1] == 0):
-        return CertStep(
-            "top-merge exclusion",
-            FAILED,
-            f"marker support does not show {c} exactly once without {c1}",
+        raise _Refuted(
+            f"marker support does not show {c} exactly once without {c1}"
         )
     top = f.upper[-1]  # block directly above the pivot (descending order)
     d_top = top.e
     if not (c1 <= d_top):
-        return CertStep(
-            "top-merge exclusion",
-            FAILED,
-            "merged block does not reach past the marker exponent",
-        )
+        raise _Refuted("merged block does not reach past the marker exponent")
     merged_block = Segment(f.aa, d_top, f.d.line)
     expansion = gl_twisted_part(delta_key(ms(merged_block)), ctx)
     for key in expansion.terms.coeffs:
         supp = _supp_ms(key)
         if supp[c] > 0 and supp[c1] == 0:
-            return CertStep(
-                "top-merge exclusion",
-                FAILED,
+            raise _Refuted(
                 f"a term of the GL restriction of the merged block has {c} "
-                f"without {c1}: {key}",
+                f"without {c1}: {key}"
             )
     rest_upper = _pm(_supp(*f.upper[:-1]))
     side = rest_upper + _pm(_supp(f.sym)) + _pm(_supp(*f.lower))
     if side[c] > 0 or side[c1] > 0:
-        return CertStep(
-            "top-merge exclusion",
-            FAILED,
-            "side factors can reach the marker exponents",
-        )
-    return CertStep(
-        "top-merge exclusion",
-        VERIFIED,
+        raise _Refuted("side factors can reach the marker exponents")
+    return (
         f"marker has {c} once and never {c1}; every GL-restriction term of "
         f"the merged block {merged_block} carrying {c} also carries {c1}; "
-        "side factors reach neither",
+        "side factors reach neither"
     )
 
 
-def _check_double_point_exclusion(f: _CaseFrame, ctx: Context) -> CertStep:
+def _check_double_point_exclusion(f: _CaseFrame, ctx: Context) -> str:
     """Marker exponent -alpha occurs twice in the embedded certificate but at
     most once in any term of the bottom-attached branch."""
     neg = -f.d.alpha
     if f.marker[neg] != 2:
-        return CertStep(
-            "double-point exclusion",
-            FAILED,
-            f"marker support does not contain {neg} exactly twice",
-        )
+        raise _Refuted(f"marker support does not contain {neg} exactly twice")
     # every left term of the twisted coproduct of the witness has -alpha
     # at most once
-    tw = twisted_comult(delta_key(ms(f.sym)), ctx)
-    for (left, _right) in tw.terms.coeffs:
+    for (left, _right) in twisted_comult(f.witness, ctx).terms.coeffs:
         if _supp_ms(left)[neg] > 1:
-            return CertStep(
-                "double-point exclusion",
-                FAILED,
-                f"witness restriction term {left} carries {neg} twice",
-            )
+            raise _Refuted(f"witness restriction term {left} carries {neg} twice")
     # the general-linear list of the bottom-attached branch misses -alpha
     if _pm(_supp_ms(f.branch.gl))[neg] > 0:
-        return CertStep(
-            "double-point exclusion",
-            FAILED,
-            "branch list support reaches the doubled point",
-        )
+        raise _Refuted("branch list support reaches the doubled point")
     for (left, _right) in module_comult_base(f.branch.temp.base).terms.coeffs:
         if _supp_ms(left)[neg] > 0:
-            return CertStep(
-                "double-point exclusion",
-                FAILED,
-                "bottom atom restriction reaches the doubled point",
-            )
-    return CertStep(
-        "double-point exclusion",
-        VERIFIED,
+            raise _Refuted("bottom atom restriction reaches the doubled point")
+    return (
         f"marker shows {neg} twice; witness restriction terms carry it at "
         "most once and no other factor of the bottom-attached branch "
-        "carries it",
+        "carries it"
     )
 
 
-def _check_second_merge_exclusion(f: _CaseFrame, ctx: Context) -> CertStep:
+def _check_second_merge_exclusion(f: _CaseFrame, ctx: Context) -> str:
     """Singleton-bottom case only: the branch merging the pivot downward is
     ruled out because no factor can produce a segment ending at -alpha'."""
     d = f.d
@@ -561,228 +594,173 @@ def _check_second_merge_exclusion(f: _CaseFrame, ctx: Context) -> CertStep:
     if tail_lo <= tail_hi:
         tail_supp = _pm(_supp(Segment(tail_lo, tail_hi, d.line)))
     if tail_supp[neg_end] > 0:
-        return CertStep(
-            "down-merge exclusion",
-            FAILED,
-            "stretched tail support reaches the forbidden end",
-        )
-    # factor 2: witness terms end at alpha' only
-    tw_part = gl_twisted_part(delta_key(ms(f.sym)), ctx)
-    for key in tw_part.terms.coeffs:
-        for s in key:
-            if s.e == neg_end:
-                return CertStep(
-                    "down-merge exclusion",
-                    FAILED,
-                    f"witness restriction segment {s} ends at {neg_end}",
-                )
-    # factor 3: the downward-merged block [alpha'-1, c]
+        raise _Refuted("stretched tail support reaches the forbidden end")
+    # factor 2: witness terms end at alpha' only; factor 3: the
+    # downward-merged block [alpha'-1, c]
     merged_low = Segment(f.aa - 1, f.c, d.line)
-    low_part = gl_twisted_part(delta_key(ms(merged_low)), ctx)
-    for key in low_part.terms.coeffs:
-        for s in key:
-            if s.e == neg_end:
-                return CertStep(
-                    "down-merge exclusion",
-                    FAILED,
-                    f"merged-down restriction segment {s} ends at {neg_end}",
-                )
+    for name, factor in (
+        ("witness", f.witness), ("merged-down", delta_key(ms(merged_low)))
+    ):
+        for key in gl_twisted_part(factor, ctx).terms.coeffs:
+            for s in key:
+                if s.e == neg_end:
+                    raise _Refuted(
+                        f"{name} restriction segment {s} ends at {neg_end}"
+                    )
     # factor 4: the upper list cannot supply it either
     if _pm(_supp(*f.upper))[neg_end] > 0:
-        return CertStep(
-            "down-merge exclusion",
-            FAILED,
-            "upper list support reaches the forbidden end",
-        )
-    return CertStep(
-        "down-merge exclusion",
-        VERIFIED,
+        raise _Refuted("upper list support reaches the forbidden end")
+    return (
         f"the required Jacquet term has a segment ending at {neg_end}, but "
         "no factor of the downward-merge branch can produce that end "
         f"(tail support misses it; witness and {merged_low} restriction "
-        "segments end elsewhere)",
+        "segments end elsewhere)"
     )
 
 
-def verify_hd_identity(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertStep:
+def _check_hd_identity(f: _CaseFrame) -> str:
     """Singleton-bottom case: identify the third certificate through top
     derivatives, two routes."""
-    f = _frame(d)
-    if classify(d) != CaseTag.CASE_B:
-        raise UnsupportedDatumError("derivative identification is for the "
-                                    "singleton-bottom case")
-    product_key = ms(f.sym) + d.full_key()
+    product_key = ms(f.sym) + f.full
     route1 = highest_derivative(zeta_key(product_key))
     route2 = zeta_key(trim_key(product_key))
     if route1 != route2:
-        return CertStep(
-            "derivative identification",
-            FAILED,
-            "the two top-derivative routes disagree",
-        )
+        raise _Refuted("the two top-derivative routes disagree")
     trimmed_sym = f.sym.trimmed_top()
     trimmed_pivot = f.pivot.trimmed_top()
     if trimmed_sym is None or trimmed_pivot is None:
-        return CertStep(
-            "derivative identification", FAILED, "degenerate trim"
-        )
+        raise _Refuted("degenerate trim")
     union = linked_union(trimmed_sym, trimmed_pivot)
-    expected_union = f.merged.trimmed_top()
-    if union is None or union != expected_union:
-        return CertStep(
-            "derivative identification",
-            FAILED,
+    if union is None or union != f.merged.trimmed_top():
+        raise _Refuted(
             "trimmed witness and trimmed pivot do not merge to the trimmed "
-            "stretched segment",
+            "stretched segment"
         )
     expected_hd = ms(union) + trim_key(f.upper_ms())
     if trim_key(f.merged_list) != expected_hd:
-        return CertStep(
-            "derivative identification",
-            FAILED,
-            "candidate top derivative does not match",
-        )
+        raise _Refuted("candidate top derivative does not match")
     if _supp_ms(f.merged_list) != _supp_ms(product_key):
-        return CertStep(
-            "derivative identification",
-            FAILED,
-            "candidate support differs from the product support",
-        )
-    return CertStep(
-        "derivative identification",
-        VERIFIED,
+        raise _Refuted("candidate support differs from the product support")
+    return (
         "top derivative of the witness-times-list product equals the "
         "entrywise trim; trimmed witness and trimmed pivot merge to the "
         "trimmed stretched segment; the merged-list candidate has the same "
-        "support and the same top derivative",
+        "support and the same top derivative"
     )
 
 
-def _check_distinct(certs: Sequence[LanglandsDatum]) -> CertStep:
+def _hd_identity(f: _CaseFrame) -> _Check:
+    return _Check("derivative identification", lambda: _check_hd_identity(f))
+
+
+def verify_hd_identity(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertStep:
+    """The derivative identification step of a case-B datum, on its own."""
+    tag = classify(d)
+    if tag != CaseTag.CASE_B:
+        raise UnsupportedDatumError("derivative identification is for the "
+                                    "singleton-bottom case")
+    (step,), _ok = _run_steps([_hd_identity(_frame(d, tag))])
+    return step
+
+
+def _check_distinct(certs: Sequence[LanglandsDatum]) -> str:
     if len(set(certs)) != len(certs):
-        return CertStep(
-            "distinctness", FAILED, "certificates are not pairwise distinct"
-        )
-    return CertStep(
-        "distinctness",
-        VERIFIED,
-        f"{len(certs)} certificates are pairwise distinct Langlands data",
-    )
+        raise _Refuted("certificates are not pairwise distinct")
+    return f"{len(certs)} certificates are pairwise distinct Langlands data"
 
 
-def _check_witness_window(f: _CaseFrame, w: GLElt) -> CertStep:
+def _check_witness_window(f: _CaseFrame) -> str:
     lo, hi_ = -(f.d.alpha + f.d.n), f.d.alpha + f.d.n
-    for key in w.terms.coeffs:
+    keys = f.witness.terms.coeffs
+    for key in keys:
         for x in _supp_ms(key):
             if not (lo <= x <= hi_):
-                return CertStep(
-                    "witness window",
-                    FAILED,
-                    f"witness support leaves [{lo}, {hi_}]",
-                )
+                raise _Refuted(f"witness support leaves [{lo}, {hi_}]")
     dual_terms = {
         tuple(sorted(str(s) for s in key.map_segments(Segment.dual)))
-        for key in w.terms.coeffs
+        for key in keys
     }
-    own_terms = {
-        tuple(sorted(str(s) for s in key)) for key in w.terms.coeffs
-    }
+    own_terms = {tuple(sorted(str(s) for s in key)) for key in keys}
     if dual_terms != own_terms:
-        return CertStep("witness window", FAILED, "witness is not selfdual")
-    return CertStep(
-        "witness window",
-        VERIFIED,
-        f"witness is selfdual with support inside [{lo}, {hi_}]",
-    )
+        raise _Refuted("witness is not selfdual")
+    return f"witness is selfdual with support inside [{lo}, {hi_}]"
 
 
 # ---------------------------------------------------------------------------
 # Length check
 # ---------------------------------------------------------------------------
 
-def _length_steps_bottom_empty(
-    f: _CaseFrame, ctx: Context
-) -> Tuple[Tuple[LanglandsDatum, ...], List[CertStep]]:
+def _length_steps(f: _CaseFrame, certs: Tuple[LanglandsDatum, ...], ctx: Context):
+    """The steps showing that ``certs`` are five distinct constituents of
+    the witness product, in report order."""
     d = f.d
-    tag = classify(d)
-    certs = _certificates_bottom_empty(f)
-    steps: List[CertStep] = []
-    steps.append(
-        CertStep(
-            "tempered split",
-            AXIOM,
-            f"delta({f.sym}) |x| {d.sigma} reduces into two inequivalent "
-            "tempered summands (the two signed tau certificates)",
-            citation="[T-irr] Thm. 13.2",
-        )
+    yield CertStep(
+        "tempered split",
+        AXIOM,
+        f"delta({f.sym}) |x| {d.sigma} reduces into two inequivalent "
+        "tempered summands (the two signed tau certificates)",
+        citation="[T-irr] Thm. 13.2",
     )
-    steps.append(
-        CertStep(
-            "tempered certificates embed",
-            AXIOM,
-            "both signed tau certificates occur in the ambient product",
-            citation="[T-CJM] Prop. 5.3",
-        )
+    yield CertStep(
+        "tempered certificates embed",
+        AXIOM,
+        "both signed tau certificates occur in the ambient product",
+        citation="[T-CJM] Prop. 5.3",
     )
-    if tag == CaseTag.CASE_A:
-        steps.append(
-            CertStep(
-                "stretched product bound",
-                AXIOM,
-                f"L(list + stretched {f.merged}) x point {f.aa} sits under "
-                f"delta({f.sym}) x L(list + pivot {f.pivot}) "
-                "(pivot longer than a point)",
-                citation="[HTd] Lemma 4.2",
-            )
+    if f.tag == CaseTag.CASE_A:
+        yield CertStep(
+            "stretched product bound",
+            AXIOM,
+            f"L(list + stretched {f.merged}) x point {f.aa} sits under "
+            f"delta({f.sym}) x L(list + pivot {f.pivot}) "
+            "(pivot longer than a point)",
+            citation="[HTd] Lemma 4.2",
         )
-        steps.append(
-            CertStep(
-                "merged certificate embeds",
-                AXIOM,
-                "the merged-list certificate occurs in that product "
-                "induced against sigma",
-                citation="[T-CJM] Prop. 4.2",
-            )
+        yield CertStep(
+            "merged certificate embeds",
+            AXIOM,
+            "the merged-list certificate occurs in that product "
+            "induced against sigma",
+            citation="[T-CJM] Prop. 4.2",
         )
     else:
-        steps.append(verify_hd_identity(d, ctx))
-        steps.append(
-            CertStep(
-                "derivative transport",
-                AXIOM,
-                "support plus top derivative determine the class, and the "
-                "product of the two linked trimmed pieces contains their "
-                "union class; the merged-list certificate therefore occurs "
-                "in the witness product",
-                citation="[Z] §8",
-            )
-        )
-    steps.append(_check_exponent_sum_exclusion(f))
-    steps.append(
-        CertStep(
-            "square-integrable split",
+        yield _hd_identity(f)
+        yield CertStep(
+            "derivative transport",
             AXIOM,
-            f"delta({f.merged}) |x| {d.sigma} has two inequivalent "
-            "square-integrable subsymbols (the two signed delta "
-            "certificates)",
-            citation="[T-seg] Thm.",
+            "support plus top derivative determine the class, and the "
+            "product of the two linked trimmed pieces contains their "
+            "union class; the merged-list certificate therefore occurs "
+            "in the witness product",
+            citation="[Z] §8",
         )
+    yield _Check(
+        "exponent-dominance exclusion", lambda: _check_exponent_sum_exclusion(f)
     )
-    steps.append(
-        CertStep(
-            "signed delta certificates embed",
-            AXIOM,
-            "both signed delta certificates occur under the unmerged "
-            "product with the witness",
-            citation="[T-CJM] Prop. 5.3",
+    yield CertStep(
+        "square-integrable split",
+        AXIOM,
+        f"delta({f.merged}) |x| {d.sigma} has two inequivalent "
+        "square-integrable subsymbols (the two signed delta "
+        "certificates)",
+        citation="[T-seg] Thm.",
+    )
+    yield CertStep(
+        "signed delta certificates embed",
+        AXIOM,
+        "both signed delta certificates occur under the unmerged "
+        "product with the witness",
+        citation="[T-CJM] Prop. 5.3",
+    )
+    yield _Check("top-merge exclusion", lambda: _check_top_merge_exclusion(f, ctx))
+    if f.tag == CaseTag.CASE_B:
+        yield _Check(
+            "down-merge exclusion", lambda: _check_second_merge_exclusion(f, ctx)
         )
+    yield _Check(
+        "double-point exclusion", lambda: _check_double_point_exclusion(f, ctx)
     )
-    steps.append(_check_top_merge_exclusion(f, ctx))
-    if tag == CaseTag.CASE_B:
-        steps.append(_check_second_merge_exclusion(f, ctx))
-    steps.append(_check_double_point_exclusion(f, ctx))
-    steps.append(_check_distinct(certs))
-    return certs, steps
+    yield _Check("distinctness", lambda: _check_distinct(certs))
 
 
 def check_length_ge5(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertReport:
@@ -794,211 +772,150 @@ def check_length_ge5(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertReport
 # Multiplicity check
 # ---------------------------------------------------------------------------
 
-def _mult_steps_bottom_empty(
-    f: _CaseFrame, ctx: Context
-) -> List[CertStep]:
-    d = f.d
-    tag = classify(d)
-    steps: List[CertStep] = []
-    tw = twisted_comult(delta_key(ms(f.sym)), ctx)
-    full_coeff = tw.terms[(ms(f.sym), EMPTY_MS)]
-    if full_coeff != 2:
-        steps.append(
-            CertStep(
-                "unit pairing",
-                FAILED,
-                f"coefficient of (witness, unit) is {full_coeff}, not 2",
-            )
+def _mult_steps(f: _CaseFrame, ctx: Context):
+    """The steps bounding the Jacquet multiplicity by 4, in report order;
+    each check reads what the ones before it established."""
+    unit = (ms(f.sym), EMPTY_MS)
+    tw = twisted_comult(f.witness, ctx).terms
+    yield _Check("unit pairing", lambda: _check_unit_pairing(tw[unit]))
+    single, multi, odd = _completions(f, tw, unit)
+    yield _Check("candidate enumeration", lambda: _check_candidates(f, single, odd))
+    if multi and f.tag == CaseTag.CASE_A:
+        yield _Check(
+            "multi-point exclusion", lambda: _check_multi_need_case_a(f, ctx, multi)
         )
-        return steps
-    steps.append(
-        CertStep(
-            "unit pairing",
-            VERIFIED,
-            "the (witness, unit) term of the witness restriction has "
-            "coefficient exactly 2; pairing with the counit term "
-            "contributes multiplicity 2",
+    elif multi:
+        yield CertStep(
+            "tail restriction bound",
+            AXIOM,
+            "the right tensorand sits under (upper part) |x| "
+            "(stretched singleton tail attached to sigma), so "
+            "candidate left factors from it are the tail "
+            "restriction's left factors",
+            citation="[HTd] Lemma 3.1",
         )
+        yield _Check(
+            "multi-point exclusion", lambda: _check_tail_left_factors(f), "[Z] §9"
+        )
+    yield _Check("regularity", lambda: _check_regularity(single))
+    yield CertStep(
+        "multiplicity bound",
+        VERIFIED,
+        "total multiplicity is at most 2 + 1 + 1 = 4",
     )
-    # enumerate candidate terms other than (witness, unit)
+
+
+def _check_unit_pairing(coeff: int) -> str:
+    if coeff != 2:
+        raise _Refuted(f"coefficient of (witness, unit) is {coeff}, not 2")
+    return (
+        "the (witness, unit) term of the witness restriction has "
+        "coefficient exactly 2; pairing with the counit term "
+        "contributes multiplicity 2"
+    )
+
+
+def _completions(f: _CaseFrame, tw, unit):
+    """Terms of the witness restriction, other than (witness, unit), whose
+    left factor completes to the witness support with exponents from the
+    factor alphabet of the right tensorand: those missing one exponent,
+    those missing several, and the first one whose coefficient is not 1."""
     target = _supp(f.sym)
-    alpha_mod = d.alpha
-    candidates = []
-    blocked: List[Tuple[Multisegment, Multisegment, Counter]] = []
-    for (left, right), coeff in tw.terms.coeffs.items():
-        if (left, right) == (ms(f.sym), EMPTY_MS):
+    single: List[Tuple[Multisegment, Multisegment, Counter]] = []
+    multi: List[Tuple[Multisegment, Multisegment, Counter]] = []
+    odd = None
+    for (left, right), coeff in tw.coeffs.items():
+        if (left, right) == unit:
             continue
         lsupp = _supp_ms(left)
         if not _counter_le(lsupp, target):
             continue
         need = target - lsupp
-        if not need:
+        if not need or any(abs(x.num2) < f.d.alpha.num2 for x in need):
             continue
-        if any(abs(x.num2) < alpha_mod.num2 for x in need):
-            continue  # outside the factor alphabet of the right tensorand
-        if coeff != 1:
-            steps.append(
-                CertStep(
-                    "candidate enumeration",
-                    FAILED,
-                    f"candidate ({left}, {right}) has coefficient {coeff}",
-                )
-            )
-            return steps
-        if sum(need.values()) == 1:
-            candidates.append((left, right, need))
-        else:
-            blocked.append((left, right, need))
-    expected_left = ms(Segment(-f.aa + 1, f.aa, d.line))
+        if coeff != 1 and odd is None:
+            odd = (left, right, coeff)
+        (single if sum(need.values()) == 1 else multi).append((left, right, need))
+    return single, multi, odd
+
+
+def _check_candidates(f: _CaseFrame, single, odd) -> str:
+    if odd is not None:
+        left, right, coeff = odd
+        raise _Refuted(f"candidate ({left}, {right}) has coefficient {coeff}")
+    line = f.d.line
+    expected_left = ms(Segment(-f.aa + 1, f.aa, line))
     expected = {
-        (expected_left, ms(Segment(-f.aa, -f.aa, d.line))),
-        (expected_left, ms(Segment(f.aa, f.aa, d.line))),
+        (expected_left, ms(Segment(-f.aa, -f.aa, line))),
+        (expected_left, ms(Segment(f.aa, f.aa, line))),
     }
-    got = {(l, r) for (l, r, _need) in candidates}
+    got = {(l, r) for (l, r, _need) in single}
     if got != expected:
-        steps.append(
-            CertStep(
-                "candidate enumeration",
-                FAILED,
-                f"single-point candidates are {sorted(map(str, got))}, "
-                "not the expected pair",
-            )
+        raise _Refuted(
+            f"single-point candidates are {sorted(map(str, got))}, "
+            "not the expected pair"
         )
-        return steps
-    steps.append(
-        CertStep(
-            "candidate enumeration",
-            VERIFIED,
-            "besides (witness, unit), exactly two witness-restriction terms "
-            "can complete to the witness support with one missing exponent: "
-            f"{expected_left} paired with the two signed points",
-        )
+    return (
+        "besides (witness, unit), exactly two witness-restriction terms "
+        "can complete to the witness support with one missing exponent: "
+        f"{expected_left} paired with the two signed points"
     )
-    # multi-point completions
-    if blocked:
-        if tag == CaseTag.CASE_A:
-            ok = _exclude_multi_need_case_a(f, ctx, blocked)
-            if not ok:
-                steps.append(
-                    CertStep(
-                        "multi-point exclusion",
-                        FAILED,
-                        "a multi-exponent completion could carry both "
-                        "signed endpoints",
-                    )
-                )
-                return steps
-            steps.append(
-                CertStep(
-                    "multi-point exclusion",
-                    VERIFIED,
-                    "completions needing several exponents would require "
-                    "one restriction factor of the right tensorand to carry "
-                    "both signed endpoints, and no term of the pivot or "
-                    "upper-list restrictions does",
-                )
-            )
-        else:
-            steps.append(
-                CertStep(
-                    "tail restriction bound",
-                    AXIOM,
-                    "the right tensorand sits under (upper part) |x| "
-                    "(stretched singleton tail attached to sigma), so "
-                    "candidate left factors from it are the tail "
-                    "restriction's left factors",
-                    citation="[HTd] Lemma 3.1",
-                )
-            )
-            singleton_left, speh_lefts = _tail_left_factors(f)
-            if not singleton_left:
-                steps.append(
-                    CertStep(
-                        "multi-point exclusion",
-                        FAILED,
-                        "expected singleton left factor missing from the "
-                        "tail restriction",
-                    )
-                )
-                return steps
-            steps.append(
-                CertStep(
-                    "multi-point exclusion",
-                    AXIOM,
-                    "left factors of the tail restriction longer than a "
-                    "point are Speh classes; a Speh class cannot complete "
-                    "the non-degenerate witness on the left of the tensor "
-                    f"sign ({len(speh_lefts)} such factors excluded)",
-                    citation="[Z] §9",
-                )
-            )
-    # regularity of the two surviving candidates
-    for left, right, _need in candidates:
-        if not (_is_multiplicity_free(_supp_ms(left))
-                and _is_multiplicity_free(_supp_ms(right))):
-            steps.append(
-                CertStep(
-                    "regularity",
-                    FAILED,
-                    f"candidate ({left}, {right}) is not multiplicity-free",
-                )
-            )
-            return steps
-    steps.append(
-        CertStep(
-            "regularity",
-            VERIFIED,
-            "both surviving candidates have multiplicity-free support on "
-            "each side of the tensor sign, so each contributes at most 1",
-        )
-    )
-    steps.append(
-        CertStep(
-            "multiplicity bound",
-            VERIFIED,
-            "total multiplicity is at most 2 + 1 + 1 = 4",
-        )
-    )
-    return steps
 
 
-def _exclude_multi_need_case_a(
-    f: _CaseFrame, ctx: Context, blocked
-) -> bool:
+def _check_multi_need_case_a(f: _CaseFrame, ctx: Context, multi) -> str:
     """A completion needing both signed endpoints would need one factor of
     the right tensorand's restriction to carry -alpha and +alpha together."""
-    d = f.d
-    neg, pos = -d.alpha, d.alpha
-    for need in (b[2] for b in blocked):
-        if not (need[neg] > 0 and need[pos] > 0):
-            return False  # unexpected shape; be conservative
-    pivot_part = gl_twisted_part(delta_key(ms(f.pivot)), ctx)
-    for key in pivot_part.terms.coeffs:
-        supp = _supp_ms(key)
-        if supp[neg] > 0 and supp[pos] > 0:
-            return False
+    neg, pos = -f.d.alpha, f.d.alpha
+    pivot_part = gl_twisted_part(delta_key(ms(f.pivot)), ctx).terms.coeffs
     upper_pm = _pm(_supp(*f.upper))
-    if upper_pm[neg] > 0 or upper_pm[pos] > 0:
-        return False
-    return True
+    if (
+        # a completion of another shape is not covered; be conservative
+        not all(need[neg] > 0 and need[pos] > 0 for _l, _r, need in multi)
+        or any(s[neg] > 0 and s[pos] > 0 for s in map(_supp_ms, pivot_part))
+        or upper_pm[neg] > 0
+        or upper_pm[pos] > 0
+    ):
+        raise _Refuted(
+            "a multi-exponent completion could carry both signed endpoints"
+        )
+    return (
+        "completions needing several exponents would require "
+        "one restriction factor of the right tensorand to carry "
+        "both signed endpoints, and no term of the pivot or "
+        "upper-list restrictions does"
+    )
 
 
-def _tail_left_factors(f: _CaseFrame):
+def _check_tail_left_factors(f: _CaseFrame) -> str:
     """Left factors of the restriction of the stretched singleton tail
     (the interval [alpha, alpha'] attached to sigma in co-Steinberg form)."""
     d = f.d
     tail_n = (f.aa - d.alpha).num2 // 2
     atom = CoStGenSymbol(d.line, d.alpha, tail_n, d.sigma)
-    singleton_left = False
-    speh_lefts = set()
-    for (left, _right), _c in module_comult_base(atom).terms.coeffs.items():
-        if not len(left):
-            continue
-        if left == ms(Segment(-f.aa, -f.aa, d.line)):
-            singleton_left = True
-        else:
-            speh_lefts.add(left)
-    return singleton_left, speh_lefts
+    point = ms(Segment(-f.aa, -f.aa, d.line))
+    lefts = {left for (left, _right) in module_comult_base(atom).terms.coeffs}
+    if point not in lefts:
+        raise _Refuted(
+            "expected singleton left factor missing from the tail restriction"
+        )
+    speh_lefts = lefts - {point, EMPTY_MS}
+    return (
+        "left factors of the tail restriction longer than a "
+        "point are Speh classes; a Speh class cannot complete "
+        "the non-degenerate witness on the left of the tensor "
+        f"sign ({len(speh_lefts)} such factors excluded)"
+    )
+
+
+def _check_regularity(single) -> str:
+    for left, right, _need in single:
+        if not (_is_multiplicity_free(_supp_ms(left))
+                and _is_multiplicity_free(_supp_ms(right))):
+            raise _Refuted(f"candidate ({left}, {right}) is not multiplicity-free")
+    return (
+        "both surviving candidates have multiplicity-free support on "
+        "each side of the tensor sign, so each contributes at most 1"
+    )
 
 
 def check_mult_le4(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertReport:
@@ -1029,23 +946,56 @@ def _run_check(
     d: SubqDatum, ctx: Context, want_length: bool, want_mult: bool
 ) -> CertReport:
     tag = classify(d)
-    if tag in (CaseTag.GEN_STEINBERG, CaseTag.CO_GEN_STEINBERG):
+    if tag in _EXTREMES:
         raise UnsupportedDatumError(
             f"{tag.value} is one of the two excluded extreme subquotients"
         )
     _validate_line(d, ctx)
-    if tag == CaseTag.CASE_C:
-        return _run_check_dualized(d, ctx, want_length, want_mult)
-    f = _frame(d)
-    w = witness(d, ctx)
-    steps: List[CertStep] = [_check_witness_window(f, w)]
+    if tag != CaseTag.CASE_C:
+        return _report(_frame(d, tag), ctx, want_length, want_mult)
+    f = _partner_frame(d)
+    inner = _report(f, ctx, want_length, want_mult)
+    steps = (
+        CertStep(
+            "dual partner",
+            VERIFIED,
+            f"the involution partner {f.d} is bottom-empty with a long "
+            "block, so the bottom-empty machinery applies to it",
+        ),
+        CertStep(
+            "involution transport",
+            AXIOM,
+            "the duality involution preserves lengths and Jacquet "
+            "multiplicities, and carries the partner's witness product to "
+            "the witness product of this datum",
+            citation="[Au] Cor. 3.9",
+        ),
+    ) + tuple(replace(s, label="dual·" + s.label) for s in inner.steps)
+    return replace(
+        inner,
+        case=CaseTag.CASE_C,
+        datum=d,
+        witness=zeta_key(ms(f.sym)),
+        certificates=tuple(replace(c, dualized=True) for c in inner.certificates),
+        steps=steps,
+        transported_from=f.d,
+    )
+
+
+def _report(
+    f: _CaseFrame, ctx: Context, want_length: bool, want_mult: bool
+) -> CertReport:
+    """The report of a bottom-empty datum, from its frame."""
+    checks: List = [_Check("witness window", lambda: _check_witness_window(f))]
     certs: Tuple[LanglandsDatum, ...] = ()
     if want_length:
-        certs, length_steps = _length_steps_bottom_empty(f, ctx)
-        steps.extend(length_steps)
+        certs = _certificates(f)
+        checks.extend(_length_steps(f, certs, ctx))
+    steps, ok = _run_steps(checks)
     if want_mult:
-        steps.extend(_mult_steps_bottom_empty(f, ctx))
-    ok = all(s.status != FAILED for s in steps)
+        mult_steps, mult_ok = _run_steps(_mult_steps(f, ctx), stop_at_failure=True)
+        steps += mult_steps
+        ok = ok and mult_ok
     if want_length and want_mult and ok:
         steps.append(
             CertStep(
@@ -1057,66 +1007,12 @@ def _run_check(
             )
         )
     return CertReport(
-        case=tag,
-        datum=d,
-        witness=w,
+        case=f.tag,
+        datum=f.d,
+        witness=f.witness,
         certificates=certs,
         steps=tuple(steps),
         length_bound=5 if (want_length and ok) else None,
         mult_bound=4 if (want_mult and ok) else None,
         ok=ok,
-    )
-
-
-def _run_check_dualized(
-    d: SubqDatum, ctx: Context, want_length: bool, want_mult: bool
-) -> CertReport:
-    pair = aubert_pair(d)
-    pair_tag = classify(pair)
-    steps: List[CertStep] = []
-    if pair_tag not in (CaseTag.CASE_A, CaseTag.CASE_B):
-        raise CertificateError(
-            f"dual partner of {d} classifies as {pair_tag.value}; expected a "
-            "bottom-empty case"
-        )
-    blocks = pair.blocks()
-    if not any(b.length > 1 for b in blocks):
-        raise CertificateError("dual partner has no long block")
-    steps.append(
-        CertStep(
-            "dual partner",
-            VERIFIED,
-            f"the involution partner {pair} is bottom-empty with a long "
-            "block, so the bottom-empty machinery applies to it",
-        )
-    )
-    steps.append(
-        CertStep(
-            "involution transport",
-            AXIOM,
-            "the duality involution preserves lengths and Jacquet "
-            "multiplicities, and carries the partner's witness product to "
-            "the witness product of this datum",
-            citation="[Au] Cor. 3.9",
-        )
-    )
-    inner = _run_check(pair, ctx, want_length, want_mult)
-    steps.extend(
-        CertStep("dual·" + s.label, s.status, s.detail, s.citation)
-        for s in inner.steps
-    )
-    certs = tuple(
-        LanglandsDatum(c.gl, c.temp, dualized=True) for c in inner.certificates
-    )
-    ok = inner.ok
-    return CertReport(
-        case=CaseTag.CASE_C,
-        datum=d,
-        witness=witness(d, ctx),
-        certificates=certs,
-        steps=tuple(steps),
-        length_bound=inner.length_bound,
-        mult_bound=inner.mult_bound,
-        ok=ok,
-        transported_from=pair,
     )

@@ -487,6 +487,31 @@ class TestInputGuards:
         assert code == 2 and out == ""
         assert "entry 0: exponents must be a JSON array" in err
 
+    @pytest.mark.parametrize("text", ['"1/0"', "1e400"])
+    def test_unrepresentable_exponent_exit_2(self, capsys, tmp_path, text):
+        # 1e400 parses to a float infinity
+        path = tmp_path / "data.json"
+        path.write_text('[{"label": "a", "exponents": [%s]}]' % text)
+        code, out, err = run(capsys, "generic-check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "not an exponent" in err
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    @pytest.mark.parametrize("command", ["eval", "generic-check"])
+    def test_unreadable_input_file_exit_2(self, capsys, tmp_path, kind, command):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("sigma = \xe9\n".encode("latin-1"))
+        argv = {
+            "eval": ("eval", "sigma", "--ctx", str(path)),
+            "generic-check": ("generic-check", str(path)),
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+
     def test_sweep_rejects_chain_length_past_the_cap(self, capsys):
         path = pathlib.Path(__file__).parent.parent / "scripts" / "sweep_counting.py"
         parse_args = runpy.run_path(str(path), run_name="sweep")["parse_args"]
@@ -506,6 +531,25 @@ def test_readme_command_table_matches_the_parser():
     ]
     assert sorted(listed) == sorted(sub.choices)
     assert len(listed) == len(set(listed))
+
+
+def test_readme_library_tour_results():
+    """Run the README's library tour; every ``# -> result`` comment must
+    start with the repr of the value on its left."""
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library tour", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(code, namespace)
+    claims = [
+        [part.strip() for part in line.split("# ->")]
+        for line in code.splitlines() if "# ->" in line
+    ]
+    assert [c for _, c in claims] == [
+        "6 tensor terms", "8 terms", "'case-c'", "(True, 5, 4)",
+    ]
+    for expr, claim in claims:
+        assert claim.startswith(repr(eval(expr, namespace))), expr
 
 
 class TestParallelSweep:

@@ -121,6 +121,11 @@ class TestValidation:
         with pytest.raises(MalformedDatumError):
             D("a", [0])
 
+    @pytest.mark.parametrize("value", ["1/0", float("inf"), float("nan")])
+    def test_unrepresentable_exponent(self, value):
+        with pytest.raises(MalformedDatumError, match="not an exponent"):
+            GenericDatum("a", (value,), True, False)
+
     def test_selfdual_with_partner(self):
         with pytest.raises(MalformedDatumError):
             D("a", [], sd=True, partner="b")

@@ -91,6 +91,19 @@ class TestClassification:
         assert classify(CASE_B_1) is CaseTag.CASE_B
         assert classify(CASE_C_1) is CaseTag.CASE_C
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_cuts_agree_with_the_tiling(self, n):
+        """The cut-based rule against the definition on the blocks."""
+        for d in enumerate_subquotients("3/2", n):
+            blocks = d.blocks()
+            if d.bottom:
+                want = CaseTag.GEN_STEINBERG if len(blocks) == 1 else CaseTag.CASE_C
+            elif all(b.length == 1 for b in blocks):
+                want = CaseTag.CO_GEN_STEINBERG
+            else:
+                want = CaseTag.CASE_A if blocks[-1].length > 1 else CaseTag.CASE_B
+            assert classify(d) is want, d
+
     def test_langlands_datum_of_bottom_attached(self):
         d = datum(1, 2, (True, False), True)  # blocks [2,3],[1] with bottom [1]
         ld = d.langlands_datum()
@@ -223,6 +236,16 @@ class TestCaseBReport:
         assert step.status == VERIFIED
         with pytest.raises(UnsupportedDatumError):
             verify_hd_identity(CASE_A_1)
+
+    def test_hd_identity_refuses_every_other_case(self):
+        for d in enumerate_subquotients(1, 2):
+            if classify(d) is CaseTag.CASE_B:
+                continue
+            with pytest.raises(UnsupportedDatumError) as exc:
+                verify_hd_identity(d)
+            assert str(exc.value) == (
+                "derivative identification is for the singleton-bottom case"
+            )
 
     def test_certificates_use_shifted_point(self):
         rep = check_length_ge5(CASE_B_1)
