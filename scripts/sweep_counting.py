@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from cuspline.core import Context, DEFAULT_CONTEXT
+from cuspline.core import Context, CusplineError, DEFAULT_CONTEXT
 from cuspline.halfint import HalfInt, hi
 from cuspline.cli import MAX_CHAIN_LENGTH, load_context
 from cuspline.subquotients import (
@@ -85,7 +85,10 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> SweepConfig:
         parser.error(str(exc))
     if not all(0 <= n <= MAX_CHAIN_LENGTH for n in n_values):
         parser.error(f"chain lengths must be integers from 0 to {MAX_CHAIN_LENGTH}")
-    ctx = load_context(args.ctx) if args.ctx else DEFAULT_CONTEXT
+    try:
+        ctx = load_context(args.ctx) if args.ctx else DEFAULT_CONTEXT
+    except CusplineError as exc:
+        parser.error(f"--ctx: {exc}")
     dump_dir = pathlib.Path(args.dump_dir) if args.dump_dir else None
     return SweepConfig(
         alphas=alphas,

@@ -17,6 +17,7 @@ on stdout (sorted keys, half-integers as ``{"num2": ...}``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -570,9 +571,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The parser ``main`` uses, built on first use and then reused: a build
+# costs about twenty times a ``check-prop41`` parse.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DslSyntaxError, DslTypeError) as exc:

@@ -118,13 +118,13 @@ class Segment:
             raise TypeError("segment endpoints must be HalfInt")
         if self.e < self.b:
             raise EmptySegmentError(f"empty segment literal [{self.b},{self.e}]")
-        if not (self.e - self.b).is_integer:
+        if (self.e.num2 - self.b.num2) % 2:
             raise NonIntegralLengthError(f"[{self.b},{self.e}] has non-integer length")
 
     # -- basic invariants -------------------------------------------------
     @property
     def length(self) -> int:
-        return (self.e - self.b).num2 // 2 + 1
+        return (self.e.num2 - self.b.num2) // 2 + 1
 
     @property
     def center(self) -> HalfInt:

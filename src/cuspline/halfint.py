@@ -7,18 +7,43 @@ package ever converts these to floats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 HalfLike = Union["HalfInt", int]
 
 
-@dataclass(frozen=True, order=True)
 class HalfInt:
     """An element of (1/2)Z, stored as twice its value."""
 
-    num2: int
+    __slots__ = ("num2",)
+
+    def __init__(self, num2: int) -> None:
+        _set_num2(self, num2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return HalfInt, (self.num2,)
+
+    # -- equality, hashing and order ---------------------------------------
+    # Only against another HalfInt: HalfInt(0) != 0, and HalfInt(0) < 0
+    # raises TypeError.  ``>`` and ``>=`` reflect to ``__lt__`` and ``__le__``.
+    def __eq__(self, other):
+        return self.num2 == other.num2 if other.__class__ is HalfInt else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num2,))
+
+    def __lt__(self, other):
+        return self.num2 < other.num2 if other.__class__ is HalfInt else NotImplemented
+
+    def __le__(self, other):
+        return self.num2 <= other.num2 if other.__class__ is HalfInt else NotImplemented
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -29,11 +54,6 @@ class HalfInt:
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"cannot coerce {value!r} to HalfInt")
         return HalfInt(2 * value)
-
-    @staticmethod
-    def half(numerator: int) -> "HalfInt":
-        """Build numerator/2."""
-        return HalfInt(numerator)
 
     @staticmethod
     def parse(text: str) -> "HalfInt":
@@ -48,11 +68,15 @@ class HalfInt:
 
     # -- arithmetic (closed in (1/2)Z) ------------------------------------
     def __add__(self, other: HalfLike) -> "HalfInt":
+        if other.__class__ is int:
+            return HalfInt(self.num2 + 2 * other)
         return HalfInt(self.num2 + HalfInt.of(other).num2)
 
     __radd__ = __add__
 
     def __sub__(self, other: HalfLike) -> "HalfInt":
+        if other.__class__ is int:
+            return HalfInt(self.num2 - 2 * other)
         return HalfInt(self.num2 - HalfInt.of(other).num2)
 
     def __rsub__(self, other: HalfLike) -> "HalfInt":
@@ -73,10 +97,6 @@ class HalfInt:
     def is_integer(self) -> bool:
         return self.num2 % 2 == 0
 
-    @property
-    def sign(self) -> int:
-        return (self.num2 > 0) - (self.num2 < 0)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.num2, 2)
 
@@ -93,9 +113,8 @@ class HalfInt:
         return {"num2": self.num2}
 
 
-ZERO = HalfInt(0)
-HALF = HalfInt(1)
-ONE = HalfInt(2)
+# the slot's own setter: a quarter faster than object.__setattr__
+_set_num2 = HalfInt.num2.__set__
 
 
 def hi(value) -> HalfInt:
@@ -103,8 +122,4 @@ def hi(value) -> HalfInt:
 
     Accepts HalfInt, int, or a string literal like '3/2'.
     """
-    if isinstance(value, HalfInt):
-        return value
-    if isinstance(value, str):
-        return HalfInt.parse(value)
-    return HalfInt.of(value)
+    return HalfInt.parse(value) if isinstance(value, str) else HalfInt.of(value)

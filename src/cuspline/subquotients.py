@@ -302,17 +302,12 @@ def induced_split(d: SubqDatum) -> Tuple[SubqDatum, SubqDatum]:
 # ---------------------------------------------------------------------------
 
 def _supp(*segments: Optional[Segment]) -> Counter:
+    """Multiset of exponents, keyed by doubled value (``HalfInt.num2``)."""
     out: Counter = Counter()
     for s in segments:
-        if s is None:
-            continue
-        for x in s.exponents():
-            out[x] += 1
+        if s is not None:
+            out.update(range(s.b.num2, s.e.num2 + 1, 2))
     return out
-
-
-def _supp_ms(m: Multisegment) -> Counter:
-    return _supp(*m)
 
 
 def _pm(c: Counter) -> Counter:
@@ -326,10 +321,6 @@ def _pm(c: Counter) -> Counter:
 
 def _is_multiplicity_free(c: Counter) -> bool:
     return all(v == 1 for v in c.values())
-
-
-def _counter_le(small: Counter, big: Counter) -> bool:
-    return all(big[x] >= k for x, k in small.items())
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +520,7 @@ def _check_top_merge_exclusion(f: _CaseFrame, ctx: Context) -> str:
         return "no block above the pivot, so the merge branch does not exist"
     c = f.c
     c1 = c + 1
-    if not (f.marker[c] == 1 and f.marker[c1] == 0):
+    if not (f.marker[c.num2] == 1 and f.marker[c1.num2] == 0):
         raise _Refuted(
             f"marker support does not show {c} exactly once without {c1}"
         )
@@ -540,15 +531,15 @@ def _check_top_merge_exclusion(f: _CaseFrame, ctx: Context) -> str:
     merged_block = Segment(f.aa, d_top, f.d.line)
     expansion = gl_twisted_part(delta_key(ms(merged_block)), ctx)
     for key in expansion.terms.coeffs:
-        supp = _supp_ms(key)
-        if supp[c] > 0 and supp[c1] == 0:
+        supp = _supp(*key)
+        if supp[c.num2] > 0 and supp[c1.num2] == 0:
             raise _Refuted(
                 f"a term of the GL restriction of the merged block has {c} "
                 f"without {c1}: {key}"
             )
     rest_upper = _pm(_supp(*f.upper[:-1]))
     side = rest_upper + _pm(_supp(f.sym)) + _pm(_supp(*f.lower))
-    if side[c] > 0 or side[c1] > 0:
+    if side[c.num2] > 0 or side[c1.num2] > 0:
         raise _Refuted("side factors can reach the marker exponents")
     return (
         f"marker has {c} once and never {c1}; every GL-restriction term of "
@@ -561,18 +552,18 @@ def _check_double_point_exclusion(f: _CaseFrame, ctx: Context) -> str:
     """Marker exponent -alpha occurs twice in the embedded certificate but at
     most once in any term of the bottom-attached branch."""
     neg = -f.d.alpha
-    if f.marker[neg] != 2:
+    if f.marker[neg.num2] != 2:
         raise _Refuted(f"marker support does not contain {neg} exactly twice")
     # every left term of the twisted coproduct of the witness has -alpha
     # at most once
     for (left, _right) in twisted_comult(f.witness, ctx).terms.coeffs:
-        if _supp_ms(left)[neg] > 1:
+        if _supp(*left)[neg.num2] > 1:
             raise _Refuted(f"witness restriction term {left} carries {neg} twice")
     # the general-linear list of the bottom-attached branch misses -alpha
-    if _pm(_supp_ms(f.branch.gl))[neg] > 0:
+    if _pm(_supp(*f.branch.gl))[neg.num2] > 0:
         raise _Refuted("branch list support reaches the doubled point")
     for (left, _right) in module_comult_base(f.branch.temp.base).terms.coeffs:
-        if _supp_ms(left)[neg] > 0:
+        if _supp(*left)[neg.num2] > 0:
             raise _Refuted("bottom atom restriction reaches the doubled point")
     return (
         f"marker shows {neg} twice; witness restriction terms carry it at "
@@ -593,7 +584,7 @@ def _check_second_merge_exclusion(f: _CaseFrame, ctx: Context) -> str:
     tail_supp: Counter = Counter()
     if tail_lo <= tail_hi:
         tail_supp = _pm(_supp(Segment(tail_lo, tail_hi, d.line)))
-    if tail_supp[neg_end] > 0:
+    if tail_supp[neg_end.num2] > 0:
         raise _Refuted("stretched tail support reaches the forbidden end")
     # factor 2: witness terms end at alpha' only; factor 3: the
     # downward-merged block [alpha'-1, c]
@@ -608,7 +599,7 @@ def _check_second_merge_exclusion(f: _CaseFrame, ctx: Context) -> str:
                         f"{name} restriction segment {s} ends at {neg_end}"
                     )
     # factor 4: the upper list cannot supply it either
-    if _pm(_supp(*f.upper))[neg_end] > 0:
+    if _pm(_supp(*f.upper))[neg_end.num2] > 0:
         raise _Refuted("upper list support reaches the forbidden end")
     return (
         f"the required Jacquet term has a segment ending at {neg_end}, but "
@@ -639,7 +630,7 @@ def _check_hd_identity(f: _CaseFrame) -> str:
     expected_hd = ms(union) + trim_key(f.upper_ms())
     if trim_key(f.merged_list) != expected_hd:
         raise _Refuted("candidate top derivative does not match")
-    if _supp_ms(f.merged_list) != _supp_ms(product_key):
+    if _supp(*f.merged_list) != _supp(*product_key):
         raise _Refuted("candidate support differs from the product support")
     return (
         "top derivative of the witness-times-list product equals the "
@@ -673,15 +664,10 @@ def _check_witness_window(f: _CaseFrame) -> str:
     lo, hi_ = -(f.d.alpha + f.d.n), f.d.alpha + f.d.n
     keys = f.witness.terms.coeffs
     for key in keys:
-        for x in _supp_ms(key):
-            if not (lo <= x <= hi_):
+        for x in _supp(*key):
+            if not (lo.num2 <= x <= hi_.num2):
                 raise _Refuted(f"witness support leaves [{lo}, {hi_}]")
-    dual_terms = {
-        tuple(sorted(str(s) for s in key.map_segments(Segment.dual)))
-        for key in keys
-    }
-    own_terms = {tuple(sorted(str(s) for s in key)) for key in keys}
-    if dual_terms != own_terms:
+    if {key.map_segments(Segment.dual) for key in keys} != set(keys):
         raise _Refuted("witness is not selfdual")
     return f"witness is selfdual with support inside [{lo}, {hi_}]"
 
@@ -827,11 +813,11 @@ def _completions(f: _CaseFrame, tw, unit):
     for (left, right), coeff in tw.coeffs.items():
         if (left, right) == unit:
             continue
-        lsupp = _supp_ms(left)
-        if not _counter_le(lsupp, target):
+        lsupp = _supp(*left)
+        if not (lsupp <= target):
             continue
         need = target - lsupp
-        if not need or any(abs(x.num2) < f.d.alpha.num2 for x in need):
+        if not need or any(abs(x) < f.d.alpha.num2 for x in need):
             continue
         if coeff != 1 and odd is None:
             odd = (left, right, coeff)
@@ -851,10 +837,8 @@ def _check_candidates(f: _CaseFrame, single, odd) -> str:
     }
     got = {(l, r) for (l, r, _need) in single}
     if got != expected:
-        raise _Refuted(
-            f"single-point candidates are {sorted(map(str, got))}, "
-            "not the expected pair"
-        )
+        listed = ", ".join(sorted(f"({l}, {r})" for l, r in got)) or "none"
+        raise _Refuted(f"single-point candidates are {listed}, not the expected pair")
     return (
         "besides (witness, unit), exactly two witness-restriction terms "
         "can complete to the witness support with one missing exponent: "
@@ -865,13 +849,13 @@ def _check_candidates(f: _CaseFrame, single, odd) -> str:
 def _check_multi_need_case_a(f: _CaseFrame, ctx: Context, multi) -> str:
     """A completion needing both signed endpoints would need one factor of
     the right tensorand's restriction to carry -alpha and +alpha together."""
-    neg, pos = -f.d.alpha, f.d.alpha
+    neg, pos = -f.d.alpha.num2, f.d.alpha.num2
     pivot_part = gl_twisted_part(delta_key(ms(f.pivot)), ctx).terms.coeffs
     upper_pm = _pm(_supp(*f.upper))
     if (
         # a completion of another shape is not covered; be conservative
         not all(need[neg] > 0 and need[pos] > 0 for _l, _r, need in multi)
-        or any(s[neg] > 0 and s[pos] > 0 for s in map(_supp_ms, pivot_part))
+        or any(s[neg] > 0 and s[pos] > 0 for s in (_supp(*k) for k in pivot_part))
         or upper_pm[neg] > 0
         or upper_pm[pos] > 0
     ):
@@ -909,8 +893,8 @@ def _check_tail_left_factors(f: _CaseFrame) -> str:
 
 def _check_regularity(single) -> str:
     for left, right, _need in single:
-        if not (_is_multiplicity_free(_supp_ms(left))
-                and _is_multiplicity_free(_supp_ms(right))):
+        if not (_is_multiplicity_free(_supp(*left))
+                and _is_multiplicity_free(_supp(*right))):
             raise _Refuted(f"candidate ({left}, {right}) is not multiplicity-free")
     return (
         "both surviving candidates have multiplicity-free support on "

@@ -520,6 +520,47 @@ class TestInputGuards:
         assert exc.value.code == 2
         assert f"0 to {cli.MAX_CHAIN_LENGTH}" in capsys.readouterr().err
 
+    def test_sweep_rejects_an_unreadable_context(self, capsys, tmp_path):
+        path = pathlib.Path(__file__).parent.parent / "scripts" / "sweep_counting.py"
+        parse_args = runpy.run_path(str(path), run_name="sweep")["parse_args"]
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["--ctx", str(tmp_path), "--n", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --ctx:" in err and str(tmp_path) in err
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch):
+    """``main`` reuses one parser per process; a sequence of calls mixing
+    JSON, a refused argument and another command must print exactly what a
+    freshly built parser gives for each."""
+    calls = [
+        ("check-prop41", "--alpha", "1/2", "--n", "2", "--cuts", "10", "--json"),
+        ("check-prop41", "--alpha", "1/2", "--n", str(cli.MAX_CHAIN_LENGTH + 1)),
+        ("eval", "d[0,1]@rho"),
+        ("check-prop41", "--alpha", "1/2", "--n", "2", "--cuts", "10"),
+    ]
+
+    def outcomes():
+        out = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    cli._parser.cache_clear()
+    reused = outcomes()
+    assert cli._parser.cache_info().misses == 1
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = outcomes()
+    assert [code for code, _out, _err in reused] == [0, 2, 0, 0]
+    assert reused == fresh
+
 
 def test_readme_command_table_matches_the_parser():
     readme = pathlib.Path(__file__).parent.parent / "README.md"

@@ -52,6 +52,60 @@ class TestHalfInt:
         assert payload == '{"num2": 3}'
 
 
+class TestHalfIntValueSemantics:
+    """``HalfInt`` is a hand-written slotted class; it keeps the behaviour
+    of the frozen, ordered dataclass it replaced."""
+
+    num2s = st.integers(min_value=-40, max_value=40)
+
+    @given(num2s, num2s)
+    @settings(max_examples=200, deadline=None)
+    def test_fresh_instances_compare_hash_and_sort_as_their_num2(self, a, b):
+        x, y = HalfInt(a), HalfInt(b)
+        assert (x == HalfInt(a)) and hash(x) == hash(HalfInt(a)) == hash((a,))
+        assert (x == y, x != y) == (a == b, a != b)
+        assert (x < y, x <= y, x > y, x >= y) == (a < b, a <= b, a > b, a >= b)
+        assert [h.num2 for h in sorted([y, x, HalfInt(a)])] == sorted([b, a, a])
+
+    @given(num2s, st.integers(min_value=-20, max_value=20))
+    @settings(max_examples=100, deadline=None)
+    def test_int_operands_scale_by_two(self, a, k):
+        x = HalfInt(a)
+        assert x + k == k + x == HalfInt(a + 2 * k)
+        assert x - k == HalfInt(a - 2 * k) and k - x == HalfInt(2 * k - a)
+        assert x + HalfInt(k) == HalfInt(a + k) and x - HalfInt(k) == HalfInt(a - k)
+
+    def test_never_equals_or_orders_against_other_types(self):
+        assert hi(0) != 0 and hi(1) != 2 and hi(1) != (2,)
+        for op in (
+            lambda: hi(1) < 1, lambda: hi(1) <= 1, lambda: hi(1) > 1,
+            lambda: hi(1) >= 1, lambda: 1 < hi(1), lambda: hi(1) + "1",
+            lambda: hi(1) + True,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_immutable(self):
+        x = hi("3/2")
+        with pytest.raises(AttributeError):
+            x.num2 = 5
+        with pytest.raises(AttributeError):
+            x.other = 5
+        with pytest.raises(AttributeError):
+            del x.num2
+        assert x.num2 == 3 and not hasattr(x, "__dict__")
+
+    def test_pickle_and_copy_round_trip(self):
+        x = hi("-5/2")
+        for y in [pickle.loads(pickle.dumps(x, p)) for p in range(5)] + [
+            copy.copy(x), copy.deepcopy(x)
+        ]:
+            assert type(y) is HalfInt and y == x and hash(y) == hash(x)
+        assert (repr(x), str(x), x.to_jsonable()) == (
+            "HalfInt(-5)", "-5/2", {"num2": -5}
+        )
+
+
 class TestSegment:
     def test_center_and_length(self):
         s = seg("-1/2", "3/2")

@@ -1,7 +1,9 @@
 """Tests for subquotient labels, classification, and the counting checks."""
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspline.core import Context, Line, LineError, Segment, ms
 from cuspline.classical import (
@@ -14,7 +16,9 @@ from cuspline.classical import (
 )
 from cuspline.glhopf import DELTA, ZETA, mw_dual
 from cuspline.halfint import hi
+from cuspline.sampling import random_multisegment
 from cuspline.subquotients import (
+    _supp,
     AXIOM,
     CaseTag,
     FAILED,
@@ -284,6 +288,23 @@ class TestSweep:
             )
             assert len(rep.certificates) == 5
             assert len(set(rep.certificates)) == 5
+
+
+class TestSupportCounting:
+    """``_supp`` counts exponents as doubled ints; the independent route is
+    ``Multisegment.support()``, which walks ``Segment.exponents()``."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_halfint_support(self, seed):
+        m = random_multisegment(random.Random(seed), max_segments=5, max_length=4)
+        slow = Counter({x.num2: k for (_line, x), k in m.support().items()})
+        assert _supp(*m) == slow
+        assert _supp(*m, None) == slow
+
+    def test_point_and_long_segment(self):
+        assert _supp(seg("1/2", "1/2")) == Counter({1: 1})
+        assert _supp(seg(-1, 2), seg(0, 0)) == Counter({-2: 1, 0: 2, 2: 1, 4: 1})
 
 
 class TestContextValidation:
