@@ -19,9 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Context, CusplineError, DEFAULT_CONTEXT, Line
@@ -46,7 +44,7 @@ from .jantzen import (
     twisted_comult_filtered,
 )
 from .criteria import GenericDatum, MalformedDatumError, generic_unitarizable
-from .dsl import DslSyntaxError, DslTypeError, evaluate
+from .dsl import DslTypeError, evaluate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -55,6 +53,9 @@ EXIT_USAGE = 2
 # Largest accepted --n: a chain of n steps has 2^(n+1) subquotient labels,
 # and a --all sweep certifies about that many data.
 MAX_CHAIN_LENGTH = 10
+
+# Largest accepted --ctx or generic-check input file, in characters.
+MAX_INPUT_CHARS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +115,18 @@ def parse_context(text: str) -> Context:
 
 
 def _read_text(path: str) -> str:
-    """A UTF-8 input file; one that cannot be read is a usage error."""
+    """A UTF-8 input file; one that cannot be read, or that is longer than
+    ``MAX_INPUT_CHARS``, is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read(MAX_INPUT_CHARS + 1)
     except OSError as exc:
         raise CusplineError(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise CusplineError(f"{path} is not UTF-8 text: {exc}") from exc
+    if len(text) > MAX_INPUT_CHARS:
+        raise CusplineError(f"{path} is longer than {MAX_INPUT_CHARS} characters")
+    return text
 
 
 def load_context(path: Optional[str]) -> Context:
@@ -143,18 +148,6 @@ def _halfint_arg(text: str) -> HalfInt:
         return HalfInt.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-def _jobs_arg(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"--jobs must be an integer of at least 1, got {text!r}"
-        )
-    return jobs
 
 
 def _chain_length_arg(text: str) -> int:
@@ -241,12 +234,6 @@ _CHECKS = {
 }
 
 
-def _run_one_check(payload):
-    """Module-level so a process pool can pick it up."""
-    command, d, ctx = payload
-    return _CHECKS[command](d, ctx)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     ctx = load_context(args.ctx)
     check = _CHECKS[args.command]
@@ -272,14 +259,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for d in data:
         extreme = classify(d) in (CaseTag.GEN_STEINBERG, CaseTag.CO_GEN_STEINBERG)
         (skipped if extreme else eligible).append(d)
-    payloads = [(args.command, d, ctx) for d in eligible]
-    # the pool forks all of its workers at the first submit
-    workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one_check, payloads))
-    else:
-        reports = [_run_one_check(p) for p in payloads]
+    reports = [check(d, ctx) for d in eligible]
 
     all_ok = all(r.ok for r in reports)
     if args.json:
@@ -508,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="take the minus form of the bottom block")
         p.add_argument("--all", action="store_true",
                        help="sweep every eligible subquotient of the chain")
-        p.add_argument("--jobs", type=_jobs_arg, default=1,
-                       help="process pool size for --all (default 1, <= CPUs)")
         p.add_argument("--verbose", action="store_true",
                        help="print full certificates in --all mode")
         _add_ctx_json(p)
@@ -580,9 +558,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DslSyntaxError, DslTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except UnsupportedDatumError as exc:
         print(f"error: unsupported datum: {exc}", file=sys.stderr)
         return EXIT_USAGE

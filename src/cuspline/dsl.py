@@ -25,12 +25,14 @@ interpreter stack's edge, and past either one the input is a syntax error:
 an expression has at most ``MAX_LENGTH`` (10000) characters, and at most
 ``MAX_NESTING`` (100) levels of parentheses, function calls and ``|x|``
 right operands nested inside one another.  A product of any length is one
-flat ``Prod`` node, evaluated in a loop.
+flat ``Prod`` node, evaluated in a loop.  A function that could make more
+than ``MAX_TERMS`` (100000) terms is a type error before it expands.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import prod
 from typing import List, Tuple, Union
 
 from .core import Context, CusplineError, DEFAULT_CONTEXT, EMPTY_MS, Segment, ms
@@ -181,6 +183,14 @@ FUNCTIONS = ("mstar", "Mstar", "mustar", "mw", "dual", "D", "hd")
 
 MAX_LENGTH = 10_000
 MAX_NESTING = 100
+MAX_TERMS = 100_000
+
+# Terms each expanding function makes from one segment of a given length.
+_SEGMENT_TERMS = {
+    "D": lambda length: 2, "hd": lambda length: 2,
+    "mstar": lambda length: length + 1,
+    "Mstar": lambda length: (length + 1) * (length + 2) // 2,
+}
 
 
 class _Parser:
@@ -387,6 +397,24 @@ def _eval(node: Expr, ctx: Context) -> Value:
     raise AssertionError(f"unhandled node {node!r}")  # pragma: no cover
 
 
+# The functions on ring elements; each takes the element and the context.
+_RING_FUNCTIONS = {
+    "mstar": lambda x, ctx: comult(x),
+    "Mstar": twisted_comult,
+    "mw": lambda x, ctx: x.map_keys(mw_dual),
+    "dual": contragredient,
+    "D": lambda x, ctx: derivative(x),
+    "hd": lambda x, ctx: highest_derivative(x),
+}
+
+
+def term_bound(fn: str, x: GLElt) -> int:
+    """An upper bound on the number of terms ``fn`` makes from ``x``: the
+    sum over its keys of the product of the one-segment counts."""
+    per_segment = _SEGMENT_TERMS[fn]
+    return sum(prod(per_segment(s.length) for s in key) for key in x.terms.coeffs)
+
+
 def _apply(fn: str, arg: Value, ctx: Context) -> Value:
     if fn == "mustar":
         if not isinstance(arg, ClassElt):
@@ -398,22 +426,18 @@ def _apply(fn: str, arg: Value, ctx: Context) -> Value:
         raise DslTypeError(f"{fn} cannot be applied to a {_type_name(arg)}")
     if not isinstance(arg, GLElt):
         raise DslTypeError(f"{fn} needs a ring element, got {_type_name(arg)}")
+    # ``hd`` of a positive element makes at most one term per key (glhopf)
+    positive_hd = fn == "hd" and all(c > 0 for c in arg.terms.coeffs.values())
+    if fn in _SEGMENT_TERMS and not positive_hd:
+        bound = term_bound(fn, arg)
+        if bound > MAX_TERMS:
+            raise DslTypeError(
+                f"{fn} could make up to {bound} terms, more than {MAX_TERMS}"
+            )
     try:
-        if fn == "mstar":
-            return comult(arg)
-        if fn == "Mstar":
-            return twisted_comult(arg, ctx)
-        if fn == "mw":
-            return arg.map_keys(mw_dual)
-        if fn == "dual":
-            return contragredient(arg, ctx)
-        if fn == "D":
-            return derivative(arg)
-        if fn == "hd":
-            return highest_derivative(arg)
-    except (MixedBasisError, CusplineError) as exc:
+        return _RING_FUNCTIONS[fn](arg, ctx)
+    except CusplineError as exc:
         raise DslTypeError(str(exc)) from exc
-    raise AssertionError(f"unhandled function {fn}")  # pragma: no cover
 
 
 def evaluate(text: str, ctx: Context = DEFAULT_CONTEXT) -> Value:

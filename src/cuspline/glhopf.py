@@ -25,7 +25,8 @@ Operations:
 * ``gl_twisted_part`` -- the "everything moved to the GL side" sum, the
   product of memoized one-segment parts in the same way;
 * ``derivative`` / ``highest_derivative`` -- the positive ring endomorphism
-  on the zeta basis and its lowest nonzero graded part;
+  on the zeta basis and its lowest nonzero graded part, on positive input
+  the product of the one-segment lowest parts (no 2^k-term expansion);
 * ``mw_dual`` -- the chain-selection involution on multisegments.
 """
 from __future__ import annotations
@@ -382,14 +383,23 @@ def derivative(x: GLElt) -> GLElt:
     )
 
 
+def _lowest_part(terms: FormalSum) -> FormalSum:
+    """The terms of least total support size (zero stays zero)."""
+    low = min((key.size for key in terms.coeffs), default=0)
+    return terms.filter_keys(lambda key: key.size == low)
+
+
 def highest_derivative(x: GLElt) -> GLElt:
-    """Lowest nonzero graded part of the derivative."""
-    d = derivative(x)
-    parts = d.graded_parts()
-    if not parts:
-        return GLElt.zero(ZETA)
-    lowest = min(parts)
-    return parts[lowest]
+    """Lowest nonzero graded part of the derivative.  On positive input
+    nothing cancels, so a key's part is the product of its segments' lowest
+    parts ([Z]: a ring map); signed input takes the full expansion."""
+    if x.basis == ZETA and all(c > 0 for c in x.terms.coeffs.values()):
+        d = x.terms.bind(lambda m: _segmentwise_product(
+            m, lambda s: _lowest_part(_derivative_segment(s))
+        ))
+    else:  # signed input, or delta-basis input that ``derivative`` rejects
+        d = derivative(x).terms
+    return GLElt(ZETA, _lowest_part(d))
 
 
 # ---------------------------------------------------------------------------

@@ -140,22 +140,27 @@ class LinePartition:
 # ---------------------------------------------------------------------------
 
 def gl_support_lines(x: GLElt) -> FrozenSet[str]:
-    out: FrozenSet[str] = frozenset()
-    for key in x.terms.coeffs:
-        out = out | key.lines()
-    return out
+    return frozenset().union(*(key.lines() for key in x.terms.coeffs))
 
 
 def class_support_lines(y: ClassElt) -> FrozenSet[str]:
-    out: FrozenSet[str] = frozenset()
-    for key in y.terms.coeffs:
-        out = out | key.gl.lines() | key.base.lines()
-    return out
+    return frozenset().union(*(key.lines() for key in y.terms.coeffs))
 
 
 # ---------------------------------------------------------------------------
 # Filtered restriction functionals
 # ---------------------------------------------------------------------------
+
+def _one_sided(
+    t: Union[TensorGL, TensorClass], p: LinePartition, side: int
+) -> Union[TensorGL, TensorClass]:
+    """The terms of a tensor whose left factor lies on ``side`` and whose
+    right factor lies on the other side."""
+    keep_left, keep_right = p.lines(side), p.lines(p.other(side))
+    return t.filter(
+        lambda key: key[0].lines() <= keep_left and key[1].lines() <= keep_right
+    )
+
 
 def module_comult_filtered(
     y: ClassElt, p: LinePartition, side: int, ctx: Context = DEFAULT_CONTEXT
@@ -167,13 +172,7 @@ def module_comult_filtered(
     other side (the base over sigma carries no line and always qualifies).
     """
     p.require_supported(class_support_lines(y), "module element")
-    keep_left = p.lines(side)
-    keep_right = p.lines(p.other(side))
-    full = module_comult(y, ctx)
-    return full.filter(
-        lambda key: key[0].lines() <= keep_left
-        and key[1].lines() <= keep_right
-    )
+    return _one_sided(module_comult(y, ctx), p, side)
 
 
 def twisted_comult_filtered(
@@ -181,11 +180,7 @@ def twisted_comult_filtered(
 ) -> TensorGL:
     """Terms of the twisted ring restriction with the left factor on one side."""
     p.require_supported(gl_support_lines(x), "ring element")
-    keep_left = p.lines(side)
-    keep_right = p.lines(p.other(side))
-    return twisted_comult(x, ctx).filter(
-        lambda key: key[0].lines() <= keep_left and key[1].lines() <= keep_right
-    )
+    return _one_sided(twisted_comult(x, ctx), p, side)
 
 
 def filtered_identity_sides(

@@ -512,6 +512,31 @@ class TestInputGuards:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(path) in err
 
+    @pytest.mark.parametrize("command", ["eval", "generic-check"])
+    def test_input_file_past_the_cap_exit_2(self, capsys, tmp_path, command):
+        path = tmp_path / "input"
+        path.write_text("#" * (cli.MAX_INPUT_CHARS + 1))
+        argv = {
+            "eval": ("eval", "sigma", "--ctx", str(path)),
+            "generic-check": ("generic-check", str(path)),
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"longer than {cli.MAX_INPUT_CHARS} characters" in err
+
+    def test_input_file_at_the_cap_is_read(self, capsys, tmp_path):
+        path = tmp_path / "ctx"
+        path.write_text("#" * cli.MAX_INPUT_CHARS)
+        code, out, _ = run(capsys, "eval", "sigma", "--ctx", str(path))
+        assert code == 0 and out == "sigma\n"
+
+    def test_expansion_past_the_term_budget_exit_2(self, capsys):
+        # D of 17 two-point segments has 2^17 = 131072 > MAX_TERMS terms
+        factors = "*".join(f"z[{2 * i},{2 * i + 1}]@rho" for i in range(17))
+        code, out, err = run(capsys, "eval", f"D({factors})")
+        assert code == 2 and out == ""
+        assert f"up to 131072 terms, more than {dsl.MAX_TERMS}" in err
+
     def test_sweep_rejects_chain_length_past_the_cap(self, capsys):
         path = pathlib.Path(__file__).parent.parent / "scripts" / "sweep_counting.py"
         parse_args = runpy.run_path(str(path), run_name="sweep")["parse_args"]
@@ -537,6 +562,7 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
     calls = [
         ("check-prop41", "--alpha", "1/2", "--n", "2", "--cuts", "10", "--json"),
         ("check-prop41", "--alpha", "1/2", "--n", str(cli.MAX_CHAIN_LENGTH + 1)),
+        ("check-prop41", "--alpha", "1/2", "--n", "2", "--all", "--jobs", "2"),
         ("eval", "d[0,1]@rho"),
         ("check-prop41", "--alpha", "1/2", "--n", "2", "--cuts", "10"),
     ]
@@ -558,7 +584,8 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(cli, "_parser", cli.build_parser)
         fresh = outcomes()
-    assert [code for code, _out, _err in reused] == [0, 2, 0, 0]
+    assert [code for code, _out, _err in reused] == [0, 2, 2, 0, 0]
+    assert "unrecognized arguments: --jobs 2" in reused[2][2]
     assert reused == fresh
 
 
@@ -591,101 +618,3 @@ def test_readme_library_tour_results():
     ]
     for expr, claim in claims:
         assert claim.startswith(repr(eval(expr, namespace))), expr
-
-
-class TestParallelSweep:
-    def test_jobs_flag_matches_sequential(self, capsys):
-        code1, out1, _ = run(
-            capsys,
-            "check-prop41",
-            "--alpha", "1/2", "--n", "2", "--all", "--json",
-        )
-        code2, out2, _ = run(
-            capsys,
-            "check-prop41",
-            "--alpha", "1/2", "--n", "2", "--all", "--json",
-            "--jobs", "2",
-        )
-        assert code1 == code2 == 0
-        assert json.loads(out1) == json.loads(out2)
-
-    def test_pool_output_is_byte_identical_and_reinterned(self, capsys, monkeypatch):
-        """A real pool of 2 workers: its unpickled reports hold the parent's
-        interned multisegments, so they equal the sequential reports."""
-        from cuspline.core import Multisegment
-
-        pooled = []
-
-        class RecordingPool(cli.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pooled.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-            def map(self, fn, items):
-                items = list(items)
-                reports = list(super().map(fn, items))
-                pooled.append((items, reports))
-                return reports
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        argv = ["check-prop41", "--alpha", "1", "--n", "4", "--all", "--json"]
-        code1, out1, _ = run(capsys, *argv, "--jobs", "1")
-        assert pooled == []
-        code2, out2, _ = run(capsys, *argv, "--jobs", "2")
-        assert code1 == code2 == 0
-        assert out1 == out2
-        [size, (payloads, reports)] = pooled
-        assert size == 2 and len(reports) == json.loads(out1)["checked"] > 2
-        assert reports == [cli._run_one_check(p) for p in payloads]
-        for report in reports:
-            keys = list(report.witness.terms.coeffs)
-            keys += [c.gl for c in report.certificates]
-            for key in keys:
-                assert Multisegment(list(key)) is key
-
-    @pytest.mark.parametrize("jobs", ["0", "-1", "x"])
-    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
-        with pytest.raises(SystemExit) as exc:
-            main(["check-prop41", "--alpha", "1/2", "--n", "2", "--all",
-                  "--jobs", jobs])
-        assert exc.value.code == 2
-        assert "--jobs must be an integer of at least 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "jobs,cpus,want",
-        [
-            ("10000", 4, [4]),  # capped by the CPU count
-            ("10000", 64, [6]),  # capped by the 6 eligible data
-            ("2", 64, [2]),
-            ("10000", None, []),  # unknown CPU count: sequential, no pool
-            ("1", 64, []),
-        ],
-    )
-    def test_pool_size_is_bounded(self, capsys, monkeypatch, jobs, cpus, want):
-        sizes = []
-
-        class RecordingPool:
-            """Records the pool size and maps in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        argv = ["check-prop41", "--alpha", "1/2", "--n", "2", "--all", "--json"]
-        code1, out1, _ = run(capsys, *argv)
-        code2, out2, _ = run(capsys, *argv, "--jobs", jobs)
-        assert code1 == code2 == 0
-        assert json.loads(out1)["checked"] == 6
-        assert out1 == out2
-        assert sizes == want

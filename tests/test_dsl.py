@@ -27,12 +27,16 @@ from cuspline.dsl import (
     parse,
 )
 from cuspline.glhopf import (
+    DELTA,
     ZETA,
     GLElt,
     TensorGL,
     comult,
+    comult_key,
     delta_key,
     mw_dual,
+    trim_key,
+    twisted_comult,
     zeta_key,
 )
 from cuspline.halfint import hi
@@ -304,3 +308,54 @@ class TestInputLimits:
         text = "*".join(["d[0]@rho"] * k)
         assert len(text) <= dsl.MAX_LENGTH
         assert evaluate(text) == delta_key(ms(*[seg(0, 0)] * k))
+
+
+class TestTermBudget:
+    """An expansion that could exceed ``MAX_TERMS`` terms is refused before
+    any term is built; the bound is a product of one-segment counts."""
+
+    @staticmethod
+    def two_point_product(k):
+        return "*".join(f"z[{2 * i},{2 * i + 1}]@rho" for i in range(k))
+
+    def test_bound_just_under_and_just_past_the_cap(self):
+        under = evaluate(self.two_point_product(16))
+        past = evaluate(self.two_point_product(17))
+        assert dsl.term_bound("D", under) == 2 ** 16 <= dsl.MAX_TERMS
+        assert dsl.term_bound("D", past) == 2 ** 17 > dsl.MAX_TERMS
+
+    def test_bound_sums_over_keys(self):
+        x = zeta_key(ms(seg(0, 1), seg(3, 3))) + zeta_key(ms(seg(0, 2)))
+        assert dsl.term_bound("D", x) == 4 + 2
+        assert dsl.term_bound("mstar", x) == 3 * 2 + 4
+        assert dsl.term_bound("Mstar", x) == 6 * 3 + 10
+
+    @pytest.mark.parametrize("basis", [DELTA, ZETA])
+    @pytest.mark.parametrize("b", [0, "1/2", -2, "-5/2"])
+    def test_restriction_counts_bound_the_cached_tensors(self, basis, b):
+        for length in range(1, 7):
+            key = ms(Segment(hi(b), hi(b) + (length - 1), "rho"))
+            x = GLElt.key(basis, key)
+            # the coproduct count is exact; the twisted one can merge terms
+            assert dsl.term_bound("mstar", x) == len(comult_key(key, basis).terms)
+            assert dsl.term_bound("Mstar", x) >= len(twisted_comult(x).terms)
+
+    def test_restrictions_past_the_cap(self):
+        # one segment of length 100000 has 100001 coproduct terms
+        with pytest.raises(DslTypeError, match="mstar could make up to 100001"):
+            evaluate("mstar(d[0,99999]@rho)")
+        # and one of length 446 up to 447 * 448 / 2 = 100128 twisted ones
+        with pytest.raises(DslTypeError, match="Mstar could make up to 100128"):
+            evaluate("Mstar(z[0,445]@rho)")
+
+    def test_positive_hd_is_not_bounded(self):
+        # the fast path makes one term per key, however many segments
+        text = self.two_point_product(17)
+        (key,) = evaluate(text).terms.coeffs
+        assert evaluate(f"hd({text})") == zeta_key(trim_key(key))
+
+    def test_signed_hd_is_bounded(self):
+        (key,) = evaluate(self.two_point_product(17)).terms.coeffs
+        signed = zeta_key(key) - zeta_key(key + ms(seg(40, 40)))
+        with pytest.raises(DslTypeError, match="hd could make up to"):
+            dsl._apply("hd", signed, Context())

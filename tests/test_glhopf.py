@@ -3,9 +3,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cuspline import sampling
+from cuspline import sampling, subquotients
 from cuspline.classical import CuspSymbol, induced, module_comult
 from cuspline.core import (
     Context,
@@ -43,6 +43,7 @@ from cuspline.glhopf import (
     zeta_segment_delta_expansion,
 )
 from cuspline.halfint import hi
+from cuspline.subquotients import CaseTag, classify, enumerate_subquotients
 
 
 def pair_sum(pairs):
@@ -495,3 +496,53 @@ def random_multisegment(draw):
         total += ln
         segments.append(seg(hi(b) + shift, hi(b + ln - 1) + shift))
     return Multisegment(segments)
+
+
+def _highest_derivative_full(x: GLElt) -> GLElt:
+    """The full route: expand the whole derivative, keep its lowest part."""
+    parts = derivative(x).graded_parts()
+    return parts[min(parts)] if parts else GLElt.zero(ZETA)
+
+
+@st.composite
+def positive_zeta_element(draw):
+    """Several keys of at least two sizes, every coefficient at least 1."""
+    keys = draw(st.lists(random_multisegment(), min_size=2, max_size=4, unique=True))
+    assume(len({key.size for key in keys}) > 1)
+    coeffs = draw(st.lists(st.integers(1, 5), min_size=len(keys), max_size=len(keys)))
+    return GLElt(ZETA, FormalSum(dict(zip(keys, coeffs))))
+
+
+class TestHighestDerivativeFastPath:
+    """``highest_derivative`` multiplies one-segment lowest parts when every
+    coefficient is positive; the full expansion must agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(positive_zeta_element())
+    def test_positive_elements_agree_with_the_full_route(self, x):
+        assert highest_derivative(x) == _highest_derivative_full(x)
+
+    @pytest.mark.parametrize("alpha", ["1/2", "1", "3/2"])
+    def test_case_b_products_agree_with_the_full_route(self, alpha):
+        checked = 0
+        for n in range(7):
+            for d in enumerate_subquotients(alpha, n):
+                if classify(d) is not CaseTag.CASE_B:
+                    continue
+                f = subquotients._frame(d, CaseTag.CASE_B)
+                x = zeta_key(ms(f.sym) + f.full)
+                assert highest_derivative(x) == _highest_derivative_full(x), d
+                checked += 1
+        assert checked > 20
+
+    def test_signed_input_takes_the_full_route(self):
+        # the lowest parts cancel ({[0,0]} - {[0,0]}); the next part does not
+        x = zeta_key(ms(seg(0, 1), seg(5, 5))) - zeta_key(ms(seg(0, 1), seg(6, 6)))
+        want = zeta_key(ms(seg(0, 0), seg(5, 5))) - zeta_key(ms(seg(0, 0), seg(6, 6)))
+        assert _highest_derivative_full(x) == want
+        assert highest_derivative(x) == want
+
+    def test_zero_and_delta_input(self):
+        assert highest_derivative(GLElt.zero(ZETA)) == GLElt.zero(ZETA)
+        with pytest.raises(MixedBasisError):
+            highest_derivative(delta_key(ms(seg(0, 1))))
