@@ -11,6 +11,11 @@ bookkeeping has a closed form:
 * ``CoStGenSymbol``    -- its co-version (the Langlands-quotient family with
   the same support).
 
+Base and induced symbols are hash-consed, as multisegments are (through
+``core.hash_cons``): every constructor, ``dataclasses.replace`` and unpickling
+return the one live object for a value, so ``==`` and ``hash`` are the C-level
+identity ones and a (multisegment, induced symbol) key hashes in C.
+
 Module elements (``ClassElt``, keys: induced symbols) and module tensors
 (``TensorClass``, keys: (multisegment, induced symbol) pairs) are
 ``core.LinearElt`` subclasses with no basis.  ``module_comult`` computes the
@@ -34,6 +39,7 @@ from .core import (
     LinearElt,
     Multisegment,
     Segment,
+    hash_cons,
     ms,
     seg_opt,
 )
@@ -65,9 +71,20 @@ def dual_sigma(label: str) -> str:
 # Base symbols
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# The hash-consed base and induced symbols.  An induced symbol's key is the
+# pair of its two (hash-consed) parts; a base symbol's starts with its class.
+_SYMBOLS: Dict[tuple, object] = {}  # key -> weak reference
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CuspSymbol:
-    sigma: str = "sigma"
+    sigma: str  # defaults in __new__, the one constructor
+
+    def __new__(cls, sigma: str = "sigma"):
+        return hash_cons(_SYMBOLS, (cls, sigma), cls, sigma=sigma)
+
+    def __reduce__(self):
+        return (CuspSymbol, (self.sigma,))
 
     @property
     def degree(self) -> int:
@@ -89,23 +106,29 @@ class CuspSymbol:
         return {"kind": "cusp", "sigma": self.sigma}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class _SteinbergAtom:
     """The body shared by the two Steinberg-type atoms on [a, a+n] over sigma.
 
     Subclasses set ``_TAG`` (their rank in ``sort_key``) and ``_PREFIX`` (the
-    name they print under); they stay distinct types, so a StGen atom never
-    equals the CoStGen atom with the same fields.
+    name they print under); they stay distinct types, and the class is part
+    of the intern key, so a StGen atom is never the CoStGen atom with the
+    same fields.
     """
 
     line: str
     a: HalfInt
     n: int
-    sigma: str = "sigma"
+    sigma: str  # defaults in __new__, the one constructor
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise DatumError(f"{self._PREFIX}Gen needs n >= 0")
+    def __new__(cls, line: str, a: HalfInt, n: int, sigma: str = "sigma"):
+        if n < 0:
+            raise DatumError(f"{cls._PREFIX}Gen needs n >= 0")
+        key = (cls, line, a.num2, n, sigma)
+        return hash_cons(_SYMBOLS, key, cls, line=line, a=a, n=n, sigma=sigma)
+
+    def __reduce__(self):
+        return (type(self), (self.line, self.a, self.n, self.sigma))
 
     @property
     def segment(self) -> Segment:
@@ -137,14 +160,12 @@ class _SteinbergAtom:
         }
 
 
-@dataclass(frozen=True)
 class StGenSymbol(_SteinbergAtom):
     """Generalized Steinberg atom on [a, a+n] over sigma."""
 
     _TAG, _PREFIX = 1, "St"
 
 
-@dataclass(frozen=True)
 class CoStGenSymbol(_SteinbergAtom):
     """The co-Steinberg atom: the Langlands-quotient counterpart of StGen."""
 
@@ -158,12 +179,19 @@ BaseSymbol = Union[CuspSymbol, StGenSymbol, CoStGenSymbol]
 # Induced symbols and the module of formal sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class InducedSymbol:
     """A GL multisegment (delta semantics) induced against a base symbol."""
 
     gl: Multisegment
     base: BaseSymbol
+
+    def __new__(cls, gl: Multisegment, base: BaseSymbol):
+        ref = _SYMBOLS.get((gl, base))  # the hit path, inline: most calls
+        return ref and ref() or hash_cons(_SYMBOLS, (gl, base), cls, gl=gl, base=base)
+
+    def __reduce__(self):
+        return (InducedSymbol, (self.gl, self.base))
 
     @property
     def degree(self) -> int:

@@ -139,8 +139,29 @@ def load_context(path: Optional[str]) -> Context:
 # Output helpers
 # ---------------------------------------------------------------------------
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, with strings escaped
+    in C: given ``indent``, ``json.dumps`` runs its pure-Python encoder."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{_encode_str(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)  # bools, None, empty containers; TypeError otherwise
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(_json_text(payload))
 
 
 def _halfint_arg(text: str) -> HalfInt:

@@ -6,9 +6,10 @@ A *segment* [b, e] on a line is a nonempty interval of half-integer exponents
 with integer length e - b + 1.  The empty segment is represented by ``None``
 (a marker, never a value stored inside multisegments).  A *multisegment* is a
 finite multiset of segments kept in a canonical order.  Multisegments are
-hash-consed: equal values are one object, found through a weak intern table,
-so the restriction code's dict keys hash and compare by identity, in C, and
-the table never keeps a dead value alive.  A ``FormalSum`` is a finitely
+hash-consed: equal values are one object, found through a weak intern table
+(``hash_cons``, which the module-side symbols of ``classical`` share), so the
+restriction code's dict keys hash and compare by identity, in C, and a table
+never keeps a dead value alive.  A ``FormalSum`` is a finitely
 supported Z-linear combination of hashable keys with no explicit zero
 coefficients.  ``LinearElt`` is the one element type built on it: a
 ``FormalSum`` tagged with its rigid basis, whose subclasses are the ring,
@@ -99,6 +100,39 @@ class Context:
 
 
 DEFAULT_CONTEXT = Context()
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing
+# ---------------------------------------------------------------------------
+
+class _Ref(weakref.ref):
+    """A weak reference to a hash-consed value that knows its table and key."""
+
+    __slots__ = ("table", "key")
+
+
+def _forget(ref: _Ref, _remove=_remove_dead_weakref) -> None:
+    # removes the entry only while it still holds a dead reference: a value
+    # interned again under the key since stays
+    _remove(ref.table, ref.key)
+
+
+def hash_cons(table: Dict[tuple, _Ref], key: tuple, cls: type, **fields):
+    """The one live ``cls`` object held in ``table`` under ``key`` (which
+    fixes its value), made with the attribute values ``fields`` and entered
+    on a miss; its entry leaves when it dies.  Callers validate first, so a
+    rejected value never enters a table."""
+    ref = table.get(key)
+    out = ref and ref()
+    if out is None:
+        out = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(out, name, value)
+        ref = _Ref(out, _forget)
+        ref.table, ref.key = table, key
+        table[key] = ref
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +250,10 @@ class Multisegment:
     """A finite multiset of segments in canonical order (immutable, hash-consed).
 
     Equal multisegments are one object: every constructor returns the value
-    held in a weak intern table, keyed on the tuple of the segments' sort
+    held in a ``hash_cons`` table, keyed on the tuple of the segments' sort
     keys (each fixes its segment).  ``==`` and ``hash`` are therefore the
     C-level identity ones, so the dicts of the restriction code hash and
-    compare their keys without calling Python.  An entry goes when its
-    multisegment dies, so the table holds only live values.
+    compare their keys without calling Python.
     """
 
     __slots__ = ("segments", "_sig", "__weakref__")
@@ -234,7 +267,8 @@ class Multisegment:
                 raise TypeError(f"not a segment: {s!r}")
             segs.append(s)
         segs.sort(key=Segment.sort_key)
-        return _intern(tuple(segs), tuple(s.sort_key() for s in segs))
+        sig = tuple(s.sort_key() for s in segs)
+        return hash_cons(_INTERNED, sig, Multisegment, segments=tuple(segs), _sig=sig)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Multisegment is immutable")
@@ -259,7 +293,7 @@ class Multisegment:
         out = ref and ref()
         if out is None:  # a new value: both runs are sorted, Timsort merges them
             merged = sorted(self.segments + other.segments, key=Segment.sort_key)
-            out = _intern(tuple(merged), sig)
+            out = hash_cons(_INTERNED, sig, Multisegment, segments=tuple(merged), _sig=sig)
         return out
 
     def remove(self, s: Segment) -> "Multisegment":
@@ -268,9 +302,9 @@ class Multisegment:
             i = self.segments.index(s)
         except ValueError:
             raise KeyError(f"segment {s} not in {self}")
-        return _intern(
-            self.segments[:i] + self.segments[i + 1:], self._sig[:i] + self._sig[i + 1:]
-        )
+        sig = self._sig[:i] + self._sig[i + 1:]
+        segments = self.segments[:i] + self.segments[i + 1:]
+        return hash_cons(_INTERNED, sig, Multisegment, segments=segments, _sig=sig)
 
     # -- invariants --------------------------------------------------------
     @property
@@ -309,34 +343,7 @@ class Multisegment:
         return {"segments": [s.to_jsonable() for s in self.segments]}
 
 
-class _Ref(weakref.ref):
-    """A weak reference to an interned multisegment that knows its key."""
-
-    __slots__ = ("key",)
-
-
-_INTERNED: Dict[tuple, _Ref] = {}
-
-
-def _forget(ref: _Ref, _table=_INTERNED, _remove=_remove_dead_weakref) -> None:
-    # removes the entry only while it still holds a dead reference: a value
-    # interned again under the key since stays
-    _remove(_table, ref.key)
-
-
-def _intern(segments: Tuple[Segment, ...], sig: tuple) -> Multisegment:
-    """The one multisegment of the canonically sorted ``segments``, whose
-    sort keys are ``sig``; made and entered in the table on first request."""
-    ref = _INTERNED.get(sig)
-    out = ref and ref()
-    if out is None:
-        out = object.__new__(Multisegment)
-        object.__setattr__(out, "segments", segments)
-        object.__setattr__(out, "_sig", sig)
-        ref = _Ref(out, _forget)
-        ref.key = sig
-        _INTERNED[sig] = ref
-    return out
+_INTERNED: Dict[tuple, _Ref] = {}  # the multisegments, by their sort keys
 
 
 EMPTY_MS = Multisegment()

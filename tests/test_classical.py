@@ -1,11 +1,21 @@
 """Tests for the classical-side symbols and the module comultiplication."""
-import pytest
+import copy
+import dataclasses
+import gc
+import pickle
+import random
+import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cuspline import classical, sampling
 from cuspline.core import (
     Context,
     EMPTY_MS,
     FormalSum,
     Line,
+    Multisegment,
     Segment,
     ms,
 )
@@ -36,7 +46,8 @@ from cuspline.classical import (
     rtimes,
 )
 from cuspline.glhopf import comult, delta_key, zeta_key
-from cuspline.halfint import hi
+from cuspline.halfint import HalfInt, hi
+from cuspline.jantzen import transport_class
 
 
 def seg(b, e, line="rho"):
@@ -338,3 +349,179 @@ class TestExponentVectors:
     def test_dominance_length_mismatch(self):
         with pytest.raises(DatumError):
             dominates((hi(1),), (hi(1), hi(0)))
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing of the module-side symbols
+# ---------------------------------------------------------------------------
+
+SIGMAS = ("sigma", "sigma~", "pi")
+
+
+@st.composite
+def sampled_value(draw, line="rho"):
+    """The value of an induced symbol on one line, drawn with the package's
+    sampler seeded by hypothesis: (key, base class, base fields)."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    gl = sampling.random_multisegment(rng, (line,), max_segments=3, max_length=2)
+    sigma = rng.choice(SIGMAS)
+    kind = rng.choice((CuspSymbol, StGenSymbol, CoStGenSymbol))
+    if kind is CuspSymbol:
+        return gl, kind, (sigma,)
+    a = sampling.random_halfint(rng, "1/2", 2)
+    return gl, kind, (line, a, rng.randint(0, 2), sigma)
+
+
+def build(value) -> InducedSymbol:
+    gl, kind, fields = value
+    return InducedSymbol(gl, kind(*fields))
+
+
+def base_value(base) -> tuple:
+    return (type(base),) + dataclasses.astuple(base)
+
+
+def fresh_base(base):
+    """An equal base symbol built from fresh field values."""
+    return type(base)(*(
+        HalfInt(v.num2) if isinstance(v, HalfInt) else v for v in dataclasses.astuple(base)
+    ))
+
+
+def fresh(sym: InducedSymbol) -> InducedSymbol:
+    """An equal induced symbol built from fresh segments and a fresh base."""
+    segs = [Segment(HalfInt(s.b.num2), HalfInt(s.e.num2), s.line) for s in sym.gl]
+    return InducedSymbol(Multisegment(reversed(segs)), fresh_base(sym.base))
+
+
+def interned_over(prefix: str) -> int:
+    """Entries of the symbol table whose key names a sigma label prefix*,
+    directly or through the base symbol it holds."""
+    def over(part) -> bool:
+        return getattr(part, "sigma", part if isinstance(part, str) else "").startswith(prefix)
+    return sum(any(over(part) for part in key) for key in classical._SYMBOLS)
+
+
+TWO_LINES = Context(
+    "sigma",
+    {"rho": Line("rho", True, hi("1/2")), "tau": Line("tau", True, hi("1/2"))},
+)
+
+
+class TestInterning:
+    """Base and induced symbols are hash-consed: every route to a value
+    returns the one object, distinct values are distinct objects, and dead
+    values leave the table."""
+
+    @given(sampled_value())
+    @settings(max_examples=150, deadline=None)
+    def test_every_route_returns_the_one_object(self, value):
+        sym = build(value)
+        gl, base = sym.gl, sym.base
+        assert gl is value[0] and base_value(base) == value[1:2] + value[2]
+        assert build(value) is sym
+        assert fresh(sym) is sym and fresh_base(base) is base
+        assert dataclasses.replace(sym) is sym and dataclasses.replace(base) is base
+        assert dataclasses.replace(sym, gl=fresh(sym).gl, base=fresh_base(base)) is sym
+        [key] = induced(gl, base).terms.coeffs
+        assert key is sym
+        [key] = rtimes(delta_key(gl), induced(EMPTY_MS, base)).terms.coeffs
+        assert key is sym
+        flipped = classical._flip_sigma(base)
+        assert flipped is dataclasses.replace(base, sigma=dual_sigma(base.sigma))
+        assert classical._flip_sigma(flipped) is base
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(sym, protocol)) is sym
+            assert pickle.loads(pickle.dumps(base, protocol)) is base
+        assert copy.copy(sym) is sym and copy.deepcopy(sym) is sym
+        assert copy.copy(base) is base and copy.deepcopy(base) is base
+
+    @given(sampled_value())
+    @settings(max_examples=60, deadline=None)
+    def test_restriction_and_transport_return_the_one_object(self, value):
+        sym = build(value)
+        rights = [r for _l, r in module_comult(ClassElt.key(sym)).terms.coeffs]
+        rights += [r for _l, r in module_comult_base(sym.base).terms.coeffs]
+        assert any(r is sym for r in rights)  # the (1, sym) term
+        for r in rights:
+            assert fresh(r) is r
+        y = ClassElt.key(sym)
+        moved = transport_class(y, "rho", "tau", TWO_LINES)
+        [there] = moved.terms.coeffs
+        assert there.lines() <= {"tau"} and len(there.gl) == len(sym.gl)
+        [back] = transport_class(moved, "tau", "rho", TWO_LINES).terms.coeffs
+        assert back is sym
+        [renamed] = transport_class(y, "rho", "tau", TWO_LINES, sigma_to="pi").terms.coeffs
+        assert renamed is dataclasses.replace(
+            there, base=dataclasses.replace(there.base, sigma="pi")
+        )
+
+    @given(sampled_value(), sampled_value())
+    @settings(max_examples=150, deadline=None)
+    def test_identity_is_value_equality(self, u, v):
+        # each symbol is judged by the value it was built from
+        x, y = build(u), build(v)
+        same_base = u[1:] == v[1:]
+        same = same_base and u[0] is v[0]  # multisegment identity is equality
+        assert (x.base is y.base) is same_base and (x.base == y.base) is same_base
+        assert (x is y) is same and (x == y) is same and (x != y) is not same
+        assert len({x, y}) == 2 - same
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_steinberg_and_co_steinberg_atoms_stay_distinct(self, sigma):
+        for n in range(3):
+            st_atom = StGenSymbol("rho", hi(1), n, sigma)
+            co_atom = CoStGenSymbol("rho", hi(1), n, sigma)
+            assert st_atom is not co_atom and st_atom != co_atom
+            assert type(st_atom) is StGenSymbol and type(co_atom) is CoStGenSymbol
+            assert atom(st_atom) is not atom(co_atom)
+            assert StGenSymbol("rho", hi(1), n, dual_sigma(sigma)) is not st_atom
+            assert CuspSymbol(sigma) is not CuspSymbol(dual_sigma(sigma))
+
+    def test_negative_n_raises_and_adds_no_entry(self):
+        kept = [StGenSymbol("neg", hi(1), 0, "neg-sigma")]
+        before = dict(classical._SYMBOLS)
+        for cls in (StGenSymbol, CoStGenSymbol):
+            for n in (-1, -3):
+                with pytest.raises(DatumError):
+                    cls("neg", hi(1), n, "neg-sigma")
+                with pytest.raises(DatumError):
+                    dataclasses.replace(kept[0], n=n)
+        assert classical._SYMBOLS == before
+        assert all(ref() is None or getattr(ref(), "n", 0) >= 0
+                   for ref in classical._SYMBOLS.values())
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_dead_values_leave_the_table(self, seed):
+        rng = random.Random(seed)
+        assert interned_over("gc-") == 0
+        made = []
+        for i in range(30):
+            sigma = f"gc-{i % 4}"
+            gl = sampling.random_multisegment(rng, ("rho",), max_segments=3)
+            made.append(InducedSymbol(gl, CuspSymbol(sigma)))
+            made.append(induced(gl, StGenSymbol("rho", hi(1), i % 3, sigma)).terms)
+        made.append(module_comult(ClassElt.key(made[0])))
+        assert interned_over("gc-") > 0
+        del made
+        gc.collect()
+        assert interned_over("gc-") == 0
+
+    def test_identity_outlives_cache_clearing_and_churn(self):
+        kept = InducedSymbol(ms(seg(0, 1)), CoStGenSymbol("rho", hi(1), 1, "churn"))
+        rights = [r for _l, r in module_comult(ClassElt.key(kept)).terms.coeffs]
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cuspline"):
+                for value in vars(module).values():
+                    if hasattr(value, "cache_clear"):
+                        value.cache_clear()
+        alive = [InducedSymbol(ms(seg(0, i % 7)), CuspSymbol(f"churn-{i}")) for i in range(3000)]
+        assert interned_over("churn-") == 2 * len(alive)
+        assert InducedSymbol(ms(seg(0, 1)), CoStGenSymbol("rho", hi(1), 1, "churn")) is kept
+        again = [r for _l, r in module_comult(ClassElt.key(kept)).terms.coeffs]
+        assert len(again) == len(rights) and all(a is b for a, b in zip(again, rights))
+        assert InducedSymbol(ms(seg(0, 3)), CuspSymbol("churn-3")) is alive[3]
+        del alive, rights, again
+        gc.collect()
+        assert interned_over("churn-") == 0

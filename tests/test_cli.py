@@ -8,6 +8,7 @@ import runpy
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspline import cli, dsl
 from cuspline.cli import (
@@ -618,3 +619,30 @@ def test_readme_library_tour_results():
     ]
     for expr, claim in claims:
         assert claim.startswith(repr(eval(expr, namespace))), expr
+
+
+# Nested JSON payloads: strings with non-ASCII and control characters, bools,
+# None, negative ints, and empty or nested containers.
+JSON_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+JSON_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(10**20), max_value=10**20)
+    | JSON_TEXT | st.sampled_from(["", "\x00\x1f\\\"", "é→𝔤", "\u2028"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=10,
+)
+
+
+class TestJsonText:
+    """``--json`` output is indented by hand, with strings escaped in C; the
+    text must be exactly what ``json.dumps`` with ``indent=2`` gives."""
+
+    @given(st.dictionaries(JSON_TEXT, JSON_PAYLOADS, max_size=4) | JSON_PAYLOADS)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_json_dumps(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+    def test_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError):
+            cli._json_text({"x": [{1, 2}]})

@@ -1,6 +1,7 @@
 """Tests for the graded ring: coproducts, twisted coproduct, derivative, involution."""
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,6 +27,7 @@ from cuspline.glhopf import (
     comult,
     comult_key,
     contragredient,
+    contragredient_key,
     delta_as_zeta,
     delta_key,
     derivative,
@@ -546,3 +548,33 @@ class TestHighestDerivativeFastPath:
         assert highest_derivative(GLElt.zero(ZETA)) == GLElt.zero(ZETA)
         with pytest.raises(MixedBasisError):
             highest_derivative(delta_key(ms(seg(0, 1))))
+
+
+class TestZelevinskyInvariants:
+    """Invariants of [Z] (Zelevinsky, Ann. Sci. ENS 13 (1980)) on sampled
+    two-line keys: the involution and the coproduct commute with the
+    contragredient, which on a tensor acts on each factor and swaps them,
+    and neither changes the cuspidal support."""
+
+    @given(sampled_multisegment())
+    @settings(max_examples=100, deadline=None)
+    def test_mw_dual_commutes_with_the_contragredient(self, m):
+        assert mw_dual(contragredient_key(m)) is contragredient_key(mw_dual(m))
+
+    @given(sampled_multisegment(), st.sampled_from((DELTA, ZETA)))
+    @settings(max_examples=60, deadline=None)
+    def test_comult_intertwines_the_contragredient(self, m, basis):
+        dual = contragredient_key
+        got = comult(GLElt.key(basis, dual(m)))
+        want = comult(GLElt.key(basis, m)).map_keys(lambda lr: (dual(lr[1]), dual(lr[0])))
+        assert got == want
+
+    @given(sampled_multisegment(), st.sampled_from((DELTA, ZETA)))
+    @settings(max_examples=60, deadline=None)
+    def test_both_preserve_support(self, m, basis):
+        support = Counter(m.support())
+        assert mw_dual(m).support() == m.support()
+        terms = comult(GLElt.key(basis, m)).terms.coeffs
+        assert terms and all(c > 0 for c in terms.values())
+        for left, right in terms:
+            assert Counter(left.support()) + Counter(right.support()) == support
