@@ -26,15 +26,14 @@ from typing import Optional, Sequence, Tuple
 
 from cuspline.core import Context, CusplineError, DEFAULT_CONTEXT
 from cuspline.halfint import HalfInt, hi
-from cuspline.cli import MAX_CHAIN_LENGTH, load_context
+from cuspline.cli import load_context
 from cuspline.subquotients import (
-    CaseTag,
+    EXTREMES,
+    MAX_CHAIN_LENGTH,
     check_prop41,
     classify,
     enumerate_subquotients,
 )
-
-EXTREMES = (CaseTag.GEN_STEINBERG, CaseTag.CO_GEN_STEINBERG)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ Context files are plain ``key = value`` lines (``#`` starts a comment)::
     line.tau.alpha = none
 
 ``--json`` switches every command to a single machine-readable JSON document
-on stdout (sorted keys, half-integers as ``{"num2": ...}``).
+on stdout (sorted keys, half-integers as ``{"num2": ...}``).  Every document
+carries ``"command"`` and ``"status"`` (``"ok"`` with exit code 0, ``"fail"``
+with 1), plus ``"context"`` for the commands that take ``--ctx``.
 """
 from __future__ import annotations
 
@@ -20,14 +22,15 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import Context, CusplineError, DEFAULT_CONTEXT, Line
 from .glhopf import GLElt
 from .halfint import HalfInt
 from .classical import ClassElt
 from .subquotients import (
-    CaseTag,
+    EXTREMES,
+    MAX_CHAIN_LENGTH,
     SubqDatum,
     UnsupportedDatumError,
     check_length_ge5,
@@ -50,9 +53,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Largest accepted --n: a chain of n steps has 2^(n+1) subquotient labels,
-# and a --all sweep certifies about that many data.
-MAX_CHAIN_LENGTH = 10
+# What a command returns: (exit code, JSON payload, text lines).
+Outcome = Tuple[int, Dict[str, Any], Iterable[Any]]
 
 # Largest accepted --ctx or generic-check input file, in characters.
 MAX_INPUT_CHARS = 1 << 20
@@ -144,7 +146,8 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, with strings escaped
-    in C: given ``indent``, ``json.dumps`` runs its pure-Python encoder."""
+    in C: given ``indent``, ``json.dumps`` runs its pure-Python encoder.  A
+    library object is written as its ``to_jsonable()``."""
     kind = type(value)
     if kind is str:
         return _encode_str(value)
@@ -157,11 +160,10 @@ def _json_text(value, indent: str = "\n") -> str:
     if isinstance(value, (list, tuple)) and value:
         items = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
+    to_jsonable = getattr(value, "to_jsonable", None)
+    if to_jsonable is not None:
+        return _json_text(to_jsonable(), indent)
     return json.dumps(value)  # bools, None, empty containers; TypeError otherwise
-
-
-def _emit_json(payload: dict) -> None:
-    print(_json_text(payload))
 
 
 def _halfint_arg(text: str) -> HalfInt:
@@ -196,44 +198,38 @@ def _cuts_arg(text: str) -> Tuple[bool, ...]:
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+#
+# Every command takes the parsed arguments and the context and returns
+# (exit code, JSON payload, text lines); ``main`` alone prints.  Payload
+# values and lines may be library objects, written through ``to_jsonable()``
+# and ``str()``, and the lines may be a generator, so only the form that is
+# printed gets built.
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    ctx = load_context(args.ctx)
+def _element(args: argparse.Namespace, ctx: Context) -> Union[GLElt, ClassElt]:
+    """The ring or module element ``args.expression``; a tensor is a typing
+    error of the command."""
     value = evaluate(args.expression, ctx)
-    if args.json:
-        _emit_json(
-            {
-                "command": "eval",
-                "expression": args.expression,
-                "context": ctx.to_jsonable(),
-                "result": value.to_jsonable(),
-                "status": "ok",
-            }
+    if not isinstance(value, (GLElt, ClassElt)):
+        raise DslTypeError(
+            f"{args.command} needs a ring or module element, not a tensor"
         )
-    else:
-        print(value)
-    return EXIT_OK
+    return value
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace, ctx: Context) -> Outcome:
+    value = evaluate(args.expression, ctx)
+    return EXIT_OK, {"expression": args.expression, "result": value}, [value]
+
+
+def cmd_enumerate(args: argparse.Namespace, ctx: Context) -> Outcome:
     data = enumerate_subquotients(args.alpha, args.n, args.line, args.sigma)
-    if args.json:
-        _emit_json(
-            {
-                "command": "enumerate",
-                "count": len(data),
-                "subquotients": [
-                    {"datum": d.to_jsonable(), "case": classify(d).value}
-                    for d in data
-                ],
-                "status": "ok",
-            }
-        )
-    else:
-        for d in data:
-            print(f"{classify(d).value:18s} {d}")
-        print(f"total: {len(data)}")
-    return EXIT_OK
+    cases = [classify(d).value for d in data]
+    payload = {
+        "count": len(data),
+        "subquotients": [{"datum": d, "case": case} for d, case in zip(data, cases)],
+    }
+    lines = [f"{case:18s} {d}" for d, case in zip(data, cases)]
+    return EXIT_OK, payload, lines + [f"total: {len(data)}"]
 
 
 def _single_datum(args: argparse.Namespace) -> SubqDatum:
@@ -248,6 +244,12 @@ def _single_datum(args: argparse.Namespace) -> SubqDatum:
     )
 
 
+def cmd_classify(args: argparse.Namespace, ctx: Context) -> Outcome:
+    d = _single_datum(args)
+    tag = classify(d)
+    return EXIT_OK, {"datum": d, "case": tag.value}, [tag.value]
+
+
 _CHECKS = {
     "check-length": check_length_ge5,
     "check-mult": check_mult_le4,
@@ -255,131 +257,74 @@ _CHECKS = {
 }
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    ctx = load_context(args.ctx)
+def cmd_check(args: argparse.Namespace, ctx: Context) -> Outcome:
     check = _CHECKS[args.command]
     if not args.all:
-        d = _single_datum(args)
-        report = check(d, ctx)
-        if args.json:
-            _emit_json(
-                {
-                    "command": args.command,
-                    "context": ctx.to_jsonable(),
-                    "report": report.to_jsonable(),
-                    "status": "ok" if report.ok else "fail",
-                }
-            )
-        else:
-            for line in report.render_lines():
-                print(line)
-        return EXIT_OK if report.ok else EXIT_FAIL
+        report = check(_single_datum(args), ctx)
+        code = EXIT_OK if report.ok else EXIT_FAIL
+        return code, {"report": report}, [report]
 
     data = enumerate_subquotients(args.alpha, args.n, args.line, args.sigma)
     eligible, skipped = [], []
     for d in data:
-        extreme = classify(d) in (CaseTag.GEN_STEINBERG, CaseTag.CO_GEN_STEINBERG)
-        (skipped if extreme else eligible).append(d)
+        (skipped if classify(d) in EXTREMES else eligible).append(d)
     reports = [check(d, ctx) for d in eligible]
-
     all_ok = all(r.ok for r in reports)
-    if args.json:
-        _emit_json(
-            {
-                "command": args.command,
-                "context": ctx.to_jsonable(),
-                "checked": len(reports),
-                "skipped": [d.to_jsonable() for d in skipped],
-                "reports": [r.to_jsonable() for r in reports],
-                "status": "ok" if all_ok else "fail",
-            }
-        )
-    else:
+    payload = {"checked": len(reports), "skipped": skipped, "reports": reports}
+
+    def lines():
         for d in skipped:
-            print(f"SKIP {classify(d).value}: {d} (irreducible extreme)")
+            yield f"SKIP {classify(d).value}: {d} (irreducible extreme)"
         for report in reports:
             verdict = "PASS" if report.ok else "FAIL"
-            print(f"{verdict} {report.case.value}: {report.datum}")
+            yield f"{verdict} {report.case.value}: {report.datum}"
             if args.verbose or not report.ok:
-                for line in report.render_lines()[1:]:
-                    print(f"  {line}")
-        print(
+                yield from (f"  {line}" for line in report.render_lines()[1:])
+        yield (
             f"checked {len(reports)} subquotients, "
             f"skipped {len(skipped)} extremes: "
             + ("all passed" if all_ok else "FAILURES above")
         )
-    return EXIT_OK if all_ok else EXIT_FAIL
+
+    return (EXIT_OK if all_ok else EXIT_FAIL), payload, lines()
 
 
-def cmd_jantzen_split(args: argparse.Namespace) -> int:
-    ctx = load_context(args.ctx)
+def cmd_jantzen_split(args: argparse.Namespace, ctx: Context) -> Outcome:
     part = LinePartition(frozenset(args.part1), frozenset(args.part2))
     sides = (args.side,) if args.side is not None else (1, 2)
-    value = evaluate(args.expression, ctx)
-    if isinstance(value, GLElt):
-        filtered = {
-            side: twisted_comult_filtered(value, part, side, ctx)
-            for side in sides
-        }
-    elif isinstance(value, ClassElt):
-        filtered = {
-            side: module_comult_filtered(value, part, side, ctx)
-            for side in sides
-        }
-    else:
-        raise DslTypeError(
-            "jantzen-split needs a ring or module element, not a tensor"
-        )
-    if args.json:
-        _emit_json(
-            {
-                "command": "jantzen-split",
-                "expression": args.expression,
-                "context": ctx.to_jsonable(),
-                "partition": part.to_jsonable(),
-                "filtered": {
-                    str(side): filtered[side].to_jsonable() for side in sides
-                },
-                "status": "ok",
-            }
-        )
-    else:
-        for side in sides:
-            print(f"side {side} (left support in part{side}):")
-            print(f"  {filtered[side]}")
-    return EXIT_OK
+    value = _element(args, ctx)
+    restrict = (
+        twisted_comult_filtered if isinstance(value, GLElt) else module_comult_filtered
+    )
+    filtered = {side: restrict(value, part, side, ctx) for side in sides}
+    payload = {
+        "expression": args.expression,
+        "partition": part,
+        "filtered": {str(side): filtered[side] for side in sides},
+    }
+    lines = []
+    for side in sides:
+        lines += [f"side {side} (left support in part{side}):", f"  {filtered[side]}"]
+    return EXIT_OK, payload, lines
 
 
-def cmd_transport(args: argparse.Namespace) -> int:
-    ctx = load_context(args.ctx)
-    value = evaluate(args.expression, ctx)
+def cmd_transport(args: argparse.Namespace, ctx: Context) -> Outcome:
+    value = _element(args, ctx)
     if isinstance(value, GLElt):
         if args.sigma_to is not None:
             raise DslTypeError("--sigma-to only applies to module elements")
         moved = transport_gl(value, args.from_line, args.to_line, ctx)
-    elif isinstance(value, ClassElt):
+    else:
         moved = transport_class(
             value, args.from_line, args.to_line, ctx, args.sigma_to
         )
-    else:
-        raise DslTypeError(
-            "transport needs a ring or module element, not a tensor"
-        )
-    if args.json:
-        _emit_json(
-            {
-                "command": "transport",
-                "expression": args.expression,
-                "context": ctx.to_jsonable(),
-                "from": args.from_line,
-                "to": args.to_line,
-                "result": moved.to_jsonable(),
-                "status": "ok",
-            }
-        )
-    else:
-        print(moved)
-    return EXIT_OK
+    payload = {
+        "expression": args.expression,
+        "from": args.from_line,
+        "to": args.to_line,
+        "result": moved,
+    }
+    return EXIT_OK, payload, [moved]
 
 
 def _load_generic_data(path: str) -> List[GenericDatum]:
@@ -429,32 +374,16 @@ def _load_generic_data(path: str) -> List[GenericDatum]:
     return out
 
 
-def cmd_generic_check(args: argparse.Namespace) -> int:
-    data = _load_generic_data(args.datafile)
-    result = generic_unitarizable(data)
-    if args.json:
-        _emit_json(
-            {
-                "command": "generic-check",
-                "datafile": args.datafile,
-                "result": result.to_jsonable(),
-                "status": "ok" if result.unitarizable else "fail",
-            }
-        )
-    else:
-        for line in result.render_lines():
-            print(line)
-    return EXIT_OK if result.unitarizable else EXIT_FAIL
+def cmd_generic_check(args: argparse.Namespace, ctx: Context) -> Outcome:
+    result = generic_unitarizable(_load_generic_data(args.datafile))
+    code = EXIT_OK if result.unitarizable else EXIT_FAIL
+    payload = {"datafile": args.datafile, "result": result}
+    return code, payload, result.render_lines()
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
-
-def _add_ctx_json(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ctx", metavar="FILE", help="context file (key = value)")
-    p.add_argument("--json", action="store_true", help="JSON output")
-
 
 def _add_datum_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=_halfint_arg, required=True,
@@ -467,6 +396,10 @@ def _add_datum_args(p: argparse.ArgumentParser) -> None:
                    help="cuspidal point label (default sigma)")
 
 
+# The subcommands that read no context file, and so take no --ctx.
+_NO_CONTEXT = ("enumerate", "classify", "generic-check")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuspline",
@@ -477,14 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate an expression")
     p.add_argument("expression")
-    _add_ctx_json(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
         "enumerate", help="list the subquotient labels of an exponent chain"
     )
     _add_datum_args(p)
-    p.add_argument("--json", action="store_true", help="JSON output")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="classify one subquotient label")
@@ -493,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cut mask as 0/1 bits, low step first ('' for n=0)")
     p.add_argument("--bottom", action="store_true",
                    help="take the minus form of the bottom block")
-    p.add_argument("--json", action="store_true", help="JSON output")
     p.set_defaults(func=cmd_classify)
 
     for name, help_text in (
@@ -511,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep every eligible subquotient of the chain")
         p.add_argument("--verbose", action="store_true",
                        help="print full certificates in --all mode")
-        _add_ctx_json(p)
         p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
@@ -527,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated line ids of side 2")
     p.add_argument("--side", type=int, choices=(1, 2), default=None,
                    help="only output this side (default both)")
-    _add_ctx_json(p)
     p.set_defaults(func=cmd_jantzen_split)
 
     p = sub.add_parser(
@@ -539,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-line", required=True, metavar="LINE")
     p.add_argument("--sigma-to", default=None, metavar="LABEL",
                    help="also rename the cuspidal point label")
-    _add_ctx_json(p)
     p.set_defaults(func=cmd_transport)
 
     p = sub.add_parser(
@@ -547,27 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="decide generic unitarizability from a JSON description",
     )
     p.add_argument("datafile")
-    p.add_argument("--json", action="store_true", help="JSON output")
     p.set_defaults(func=cmd_generic_check)
 
+    # the last options of every subcommand
+    for name, p in sub.choices.items():
+        if name not in _NO_CONTEXT:
+            p.add_argument("--ctx", metavar="FILE", help="context file (key = value)")
+        p.add_argument("--json", action="store_true", help="JSON output")
     return parser
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
-    d = _single_datum(args)
-    tag = classify(d)
-    if args.json:
-        _emit_json(
-            {
-                "command": "classify",
-                "datum": d.to_jsonable(),
-                "case": tag.value,
-                "status": "ok",
-            }
-        )
-    else:
-        print(tag.value)
-    return EXIT_OK
 
 
 # The parser ``main`` uses, built on first use and then reused: a build
@@ -577,8 +491,18 @@ _parser = functools.cache(build_parser)
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    takes_context = hasattr(args, "ctx")
     try:
-        return args.func(args)
+        ctx = load_context(args.ctx) if takes_context else DEFAULT_CONTEXT
+        code, payload, lines = args.func(args, ctx)
+        if args.json:
+            payload["command"] = args.command
+            payload["status"] = "ok" if code == EXIT_OK else "fail"
+            if takes_context:
+                payload["context"] = ctx
+            text = _json_text(payload)
+        else:
+            text = "\n".join(map(str, lines))
     except UnsupportedDatumError as exc:
         print(f"error: unsupported datum: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -588,6 +512,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CusplineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

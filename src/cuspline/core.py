@@ -17,6 +17,7 @@ ring-tensor, module and module-tensor elements.
 """
 from __future__ import annotations
 
+import operator
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
@@ -322,7 +323,9 @@ class Multisegment:
         return out
 
     def lines(self) -> frozenset:
-        return frozenset(s.line for s in self.segments)
+        # built on each call, in C: most calls are the first on their
+        # object, and a kept set would cost more on those than it saves
+        return frozenset(map(_LINE, self.segments))
 
     def map_segments(self, f: Callable[[Segment], Optional[Segment]]) -> "Multisegment":
         return Multisegment(f(s) for s in self.segments)
@@ -344,6 +347,7 @@ class Multisegment:
 
 
 _INTERNED: Dict[tuple, _Ref] = {}  # the multisegments, by their sort keys
+_LINE = operator.attrgetter("line")
 
 
 EMPTY_MS = Multisegment()

@@ -139,12 +139,9 @@ class LinePartition:
 # Support of ring and module elements
 # ---------------------------------------------------------------------------
 
-def gl_support_lines(x: GLElt) -> FrozenSet[str]:
+def support_lines(x: Union[GLElt, ClassElt]) -> FrozenSet[str]:
+    """The line ids a ring or module element is supported on."""
     return frozenset().union(*(key.lines() for key in x.terms.coeffs))
-
-
-def class_support_lines(y: ClassElt) -> FrozenSet[str]:
-    return frozenset().union(*(key.lines() for key in y.terms.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +168,7 @@ def module_comult_filtered(
     left support lies in ``p.lines(side)`` and whose right support lies in the
     other side (the base over sigma carries no line and always qualifies).
     """
-    p.require_supported(class_support_lines(y), "module element")
+    p.require_supported(support_lines(y), "module element")
     return _one_sided(module_comult(y, ctx), p, side)
 
 
@@ -179,7 +176,7 @@ def twisted_comult_filtered(
     x: GLElt, p: LinePartition, side: int, ctx: Context = DEFAULT_CONTEXT
 ) -> TensorGL:
     """Terms of the twisted ring restriction with the left factor on one side."""
-    p.require_supported(gl_support_lines(x), "ring element")
+    p.require_supported(support_lines(x), "ring element")
     return _one_sided(twisted_comult(x, ctx), p, side)
 
 
@@ -193,9 +190,9 @@ def filtered_identity_sides(
     tensored against ``y`` unchanged.  Returns (filtered side, product side)
     so callers can assert equality.
     """
-    if not gl_support_lines(x) <= p.part1:
+    if not support_lines(x) <= p.part1:
         raise PartitionError("left factor must be supported on side 1")
-    if not class_support_lines(y) <= p.part2:
+    if not support_lines(y) <= p.part2:
         raise PartitionError("right factor must be supported on side 2")
     lhs = module_comult_filtered(rtimes(x, y), p, 1, ctx)
     ring_part = gl_twisted_part(x, ctx)
@@ -445,7 +442,7 @@ def transport_gl(
 ) -> GLElt:
     """Relabel a single-line ring element onto another line."""
     require_transportable(src, dst, ctx)
-    if not gl_support_lines(x) <= frozenset({src}):
+    if not support_lines(x) <= frozenset({src}):
         raise TransportError(
             f"element is not supported on the source line {src!r}"
         )
@@ -463,7 +460,7 @@ def transport_class(
 ) -> ClassElt:
     """Relabel a single-line module element onto another line."""
     require_transportable(src, dst, ctx)
-    if not class_support_lines(y) <= frozenset({src}):
+    if not support_lines(y) <= frozenset({src}):
         raise TransportError(
             f"element is not supported on the source line {src!r}"
         )

@@ -149,6 +149,9 @@ class CertReport:
         out.append(f"  result: {'PASS' if self.ok else 'FAIL'}")
         return out
 
+    def __str__(self) -> str:
+        return "\n".join(self.render_lines())
+
     def to_jsonable(self) -> dict:
         out = {
             "case": self.case.value,
@@ -238,10 +241,19 @@ def _langlands_datum(
     return LanglandsDatum(Multisegment(blocks[:-1]), temp)
 
 
+# Largest chain length accepted: a chain of n steps has 2^(n+1) subquotient
+# labels, and a sweep certifies about that many data.
+MAX_CHAIN_LENGTH = 10
+
+
 def enumerate_subquotients(
     alpha, n: int, line: str = "rho", sigma: str = "sigma"
 ) -> Tuple[SubqDatum, ...]:
     """All 2^(n+1) subquotient labels of the exponent chain, in a fixed order."""
+    if not 0 <= n <= MAX_CHAIN_LENGTH:
+        raise DatumError(
+            f"chain length n must be from 0 to {MAX_CHAIN_LENGTH}, got {n!r}"
+        )
     a = hi(alpha)
     out = []
     for mask in range(1 << n):
@@ -251,7 +263,8 @@ def enumerate_subquotients(
     return tuple(out)
 
 
-_EXTREMES = (CaseTag.GEN_STEINBERG, CaseTag.CO_GEN_STEINBERG)
+# The two irreducible extremes of a chain, which carry no certificate.
+EXTREMES = (CaseTag.GEN_STEINBERG, CaseTag.CO_GEN_STEINBERG)
 
 
 def classify(d: SubqDatum) -> CaseTag:
@@ -422,7 +435,7 @@ def _partner_frame(d: SubqDatum) -> _CaseFrame:
 def witness(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
     """The selfdual product factor used by the counting argument."""
     tag = classify(d)
-    if tag in _EXTREMES:
+    if tag in EXTREMES:
         raise UnsupportedDatumError(
             "the two extreme subquotients carry no counting witness"
         )
@@ -930,7 +943,7 @@ def _run_check(
     d: SubqDatum, ctx: Context, want_length: bool, want_mult: bool
 ) -> CertReport:
     tag = classify(d)
-    if tag in _EXTREMES:
+    if tag in EXTREMES:
         raise UnsupportedDatumError(
             f"{tag.value} is one of the two excluded extreme subquotients"
         )

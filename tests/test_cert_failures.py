@@ -267,6 +267,28 @@ def test_failed_sweep_output_is_unchanged(argv, expected):
         assert entry["stdout"][-1].endswith("FAILURES above")
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_failed_single_check_exits_1(as_json):
+    """A single-datum check that fails, through the CLI, under the patch of
+    the "dominance always holds" scenario."""
+    argv = ["check-prop41", "--alpha", "1/2", "--n", "3", "--cuts", "010"]
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in SCENARIOS["dominance always holds"][0]:
+            mp.setattr(S, name, value)
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv + ["--json"] * as_json)
+    assert code == cli.EXIT_FAIL
+    if as_json:
+        doc = json.loads(out.getvalue())
+        assert doc["status"] == "fail"
+        assert doc["report"]["datum"] == A_TOP.to_jsonable()
+    else:
+        lines = out.getvalue().splitlines()
+        assert lines[0] == f"case-a: {A_TOP}"
+        assert lines[-1] == "  result: FAIL"
+
+
 def test_expected_file_lists_every_case(expected):
     assert list(expected["scenarios"]) == list(SCENARIOS)
     assert list(expected["cli"]) == [" ".join(a) for a in CLI_CASES]

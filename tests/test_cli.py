@@ -356,6 +356,19 @@ class TestTransport:
         assert code == 0
         assert "sig2" in out
 
+    def test_sigma_rename_of_a_ring_element_exit_2(self, capsys, ctx_file):
+        code, out, err = run(
+            capsys,
+            "transport",
+            "z[0,1]@rho",
+            "--from-line", "rho", "--to-line", "tau",
+            "--sigma-to", "sig2",
+            "--ctx", ctx_file,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --sigma-to only applies to module elements\n"
+
     def test_same_line_exit_2(self, capsys, ctx_file):
         code, _, err = run(
             capsys,

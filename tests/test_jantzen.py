@@ -31,13 +31,12 @@ from cuspline.jantzen import (
     TemperedProjectionError,
     TransportError,
     canonical_tempered,
-    class_support_lines,
     combine_data,
     filtered_identity_sides,
-    gl_support_lines,
     module_comult_filtered,
     project_datum,
     split_datum,
+    support_lines,
     transport_line,
     twisted_comult_filtered,
 )
@@ -447,11 +446,11 @@ class TestTransport:
 class TestSupportHelpers:
     def test_gl_support(self):
         x = delta_key(ms(seg(0, 1, "rho"), seg(2, 2, "tau")))
-        assert gl_support_lines(x) == frozenset({"rho", "tau"})
+        assert support_lines(x) == frozenset({"rho", "tau"})
 
     def test_class_support(self):
         y = induced(ms(seg(0, 0, "tau")), StGenSymbol("rho", hi("1/2"), 0))
-        assert class_support_lines(y) == frozenset({"rho", "tau"})
+        assert support_lines(y) == frozenset({"rho", "tau"})
 
 
 class TestDegrees:

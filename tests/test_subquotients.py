@@ -22,6 +22,7 @@ from cuspline.subquotients import (
     AXIOM,
     CaseTag,
     FAILED,
+    MAX_CHAIN_LENGTH,
     SubqDatum,
     UnsupportedDatumError,
     VERIFIED,
@@ -75,6 +76,13 @@ class TestEnumeration:
             datum(0, 1, (False,), False)
         with pytest.raises(DatumError):
             datum(-1, 1, (False,), False)
+
+    @pytest.mark.parametrize("n", [-1, MAX_CHAIN_LENGTH + 1])
+    def test_rejects_chain_length_outside_the_cap(self, n):
+        from cuspline.classical import DatumError
+
+        with pytest.raises(DatumError, match=f"from 0 to {MAX_CHAIN_LENGTH}"):
+            enumerate_subquotients(1, n)
 
 
 class TestClassification:
