@@ -228,8 +228,12 @@ def cmd_enumerate(args: argparse.Namespace, ctx: Context) -> Outcome:
         "count": len(data),
         "subquotients": [{"datum": d, "case": case} for d, case in zip(data, cases)],
     }
-    lines = [f"{case:18s} {d}" for d, case in zip(data, cases)]
-    return EXIT_OK, payload, lines + [f"total: {len(data)}"]
+
+    def lines():
+        yield from (f"{case:18s} {d}" for d, case in zip(data, cases))
+        yield f"total: {len(data)}"
+
+    return EXIT_OK, payload, lines()
 
 
 def _single_datum(args: argparse.Namespace) -> SubqDatum:
@@ -302,10 +306,13 @@ def cmd_jantzen_split(args: argparse.Namespace, ctx: Context) -> Outcome:
         "partition": part,
         "filtered": {str(side): filtered[side] for side in sides},
     }
-    lines = []
-    for side in sides:
-        lines += [f"side {side} (left support in part{side}):", f"  {filtered[side]}"]
-    return EXIT_OK, payload, lines
+
+    def lines():
+        for side in sides:
+            yield f"side {side} (left support in part{side}):"
+            yield f"  {filtered[side]}"
+
+    return EXIT_OK, payload, lines()
 
 
 def cmd_transport(args: argparse.Namespace, ctx: Context) -> Outcome:

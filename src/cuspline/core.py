@@ -396,7 +396,7 @@ class FormalSum(Generic[K]):
     def _raw(coeffs: Dict[K, int]) -> "FormalSum[K]":
         """Trusted constructor: int coefficients, zeros already stripped."""
         out = object.__new__(FormalSum)
-        object.__setattr__(out, "coeffs", coeffs)
+        _SET_COEFFS(out, coeffs)
         return out
 
     @staticmethod
@@ -411,7 +411,9 @@ class FormalSum(Generic[K]):
 
     @staticmethod
     def lift(key: K, coeff: int = 1) -> "FormalSum[K]":
-        return FormalSum({key: coeff})
+        if coeff.__class__ is int:  # trusted: an exact int needs no loop
+            return FormalSum._raw({key: coeff} if coeff else {})
+        return FormalSum({key: coeff})  # raises on any other coefficient
 
     @staticmethod
     def from_terms(terms: Iterable[Tuple[K, int]]) -> "FormalSum[K]":
@@ -603,9 +605,16 @@ class LinearElt:
 def _linear_elt(cls, basis: Optional[str], terms: FormalSum) -> LinearElt:
     """Trusted constructor of any element kind (also the unpickler)."""
     out = object.__new__(cls)
-    object.__setattr__(out, "basis", basis)
-    object.__setattr__(out, "terms", terms)
+    _SET_BASIS(out, basis)
+    _SET_TERMS(out, terms)
     return out
+
+
+# slot setters of the trusted constructors: they skip the generic
+# ``object.__setattr__`` lookup on the hot single-key path
+_SET_COEFFS = FormalSum.coeffs.__set__
+_SET_BASIS = LinearElt.basis.__set__
+_SET_TERMS = LinearElt.terms.__set__
 
 
 def _key_sort(key) -> tuple:

@@ -12,7 +12,9 @@ Operations:
 
 * ``comult`` -- the coproduct, extended multiplicatively from the closed
   per-segment formulas (top parts on the left in the delta basis, bottom
-  parts on the left in the zeta basis);
+  parts on the left in the zeta basis); the memoized value on a key is the
+  cached value on its prefix (all segments but the last) times one
+  segment's tensor;
 * ``contragredient`` -- segmentwise [b,e] -> [-e,-b] (selfdual lines only);
 * ``twisted_comult`` -- the twisted coproduct M* used for classical-group
   restriction bookkeeping, defined as the composite (mult x id)
@@ -43,6 +45,7 @@ from .core import (
     MixedBasisError,
     Multisegment,
     Segment,
+    _linear_elt,
     ms,
 )
 from .halfint import HalfInt
@@ -64,7 +67,7 @@ class GLElt(LinearElt):
 
     @staticmethod
     def key(basis: str, m: Multisegment, coeff: int = 1) -> "GLElt":
-        return GLElt(basis, FormalSum.lift(m, coeff))
+        return GLElt(basis, FormalSum.lift(m, coeff))  # checks the basis
 
     def __mul__(self, other: "GLElt") -> "GLElt":
         """Product = multiset concatenation of keys (bilinear)."""
@@ -80,11 +83,11 @@ class GLElt(LinearElt):
 
 
 def delta_key(m: Multisegment, coeff: int = 1) -> GLElt:
-    return GLElt.key(DELTA, m, coeff)
+    return _linear_elt(GLElt, DELTA, FormalSum.lift(m, coeff))
 
 
 def zeta_key(m: Multisegment, coeff: int = 1) -> GLElt:
-    return GLElt.key(ZETA, m, coeff)
+    return _linear_elt(GLElt, ZETA, FormalSum.lift(m, coeff))
 
 
 class TensorGL(LinearElt):
@@ -98,11 +101,18 @@ class TensorGL(LinearElt):
         return TensorGL(basis, FormalSum.lift((EMPTY_MS, EMPTY_MS)))
 
     def __mul__(self, other: "TensorGL") -> "TensorGL":
-        """Componentwise product (concatenate left keys, concatenate right keys)."""
+        """Componentwise product (concatenate left keys, concatenate right
+        keys): ``FormalSum.combine`` with the pair map written inline, the
+        coproduct's one inner loop."""
         self._require_same(other)
-        return self._with(
-            self.terms.combine(other.terms, lambda a, b: (a[0] + b[0], a[1] + b[1]))
-        )
+        out: dict = {}
+        get = out.get
+        pairs = other.terms.coeffs.items()
+        for (l1, r1), c1 in self.terms.coeffs.items():
+            for (l2, r2), c2 in pairs:
+                key = (l1 + l2, r1 + r2)
+                out[key] = get(key, 0) + c1 * c2
+        return self._with(FormalSum._clean(out))
 
     def coefficient(self, left: Multisegment, right: Multisegment) -> int:
         return self.terms[(left, right)]
@@ -155,7 +165,13 @@ def _segmentwise_tensor(
 
 @lru_cache(maxsize=65536)
 def comult_key(m: Multisegment, basis: str) -> TensorGL:
-    return _segmentwise_tensor(m, basis, comult_segment)
+    """The coproduct of a key: its cached prefix times its last segment's
+    tensor, so a new key costs one product.  The association and factor
+    order are those of ``_segmentwise_tensor``, and so is every term order."""
+    if len(m.segments) < 2:
+        return _segmentwise_tensor(m, basis, comult_segment)
+    last = m.segments[-1]
+    return comult_key(m.remove(last), basis) * comult_segment(last, basis)
 
 
 def _linear_extension(
@@ -312,12 +328,14 @@ def segment_tilings(s: Segment) -> Iterable[Tuple[Segment, ...]]:
         yield tuple(parts)
 
 
+@lru_cache(maxsize=None)
 def zeta_segment_delta_expansion(s: Segment) -> FormalSum:
     """The one-segment zeta class written in delta-basis multisegment keys.
 
     Sum over tilings with sign (-1)^(length - blocks).  The same alternating
     formula also writes a one-segment delta class in zeta-basis keys (the
-    two triangular base-change matrices are mutually inverse).
+    two triangular base-change matrices are mutually inverse).  Memoized
+    like ``comult_segment``: the value is immutable.
     """
     out: dict = {}
     for parts in segment_tilings(s):

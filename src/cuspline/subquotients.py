@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -323,6 +323,14 @@ def _supp(*segments: Optional[Segment]) -> Counter:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _key_supp(m: Multisegment) -> Counter:
+    """``_supp(*m)`` of a hash-consed key, counted once per key: the same
+    restriction terms recur across the data of a sweep.  The Counter is
+    shared, so no caller may mutate it."""
+    return _supp(*m)
+
+
 def _pm(c: Counter) -> Counter:
     """Support closed under sign flip (counts added)."""
     out: Counter = Counter()
@@ -544,7 +552,7 @@ def _check_top_merge_exclusion(f: _CaseFrame, ctx: Context) -> str:
     merged_block = Segment(f.aa, d_top, f.d.line)
     expansion = gl_twisted_part(delta_key(ms(merged_block)), ctx)
     for key in expansion.terms.coeffs:
-        supp = _supp(*key)
+        supp = _key_supp(key)
         if supp[c.num2] > 0 and supp[c1.num2] == 0:
             raise _Refuted(
                 f"a term of the GL restriction of the merged block has {c} "
@@ -570,13 +578,13 @@ def _check_double_point_exclusion(f: _CaseFrame, ctx: Context) -> str:
     # every left term of the twisted coproduct of the witness has -alpha
     # at most once
     for (left, _right) in twisted_comult(f.witness, ctx).terms.coeffs:
-        if _supp(*left)[neg.num2] > 1:
+        if _key_supp(left)[neg.num2] > 1:
             raise _Refuted(f"witness restriction term {left} carries {neg} twice")
     # the general-linear list of the bottom-attached branch misses -alpha
     if _pm(_supp(*f.branch.gl))[neg.num2] > 0:
         raise _Refuted("branch list support reaches the doubled point")
     for (left, _right) in module_comult_base(f.branch.temp.base).terms.coeffs:
-        if _supp(*left)[neg.num2] > 0:
+        if _key_supp(left)[neg.num2] > 0:
             raise _Refuted("bottom atom restriction reaches the doubled point")
     return (
         f"marker shows {neg} twice; witness restriction terms carry it at "
@@ -826,7 +834,7 @@ def _completions(f: _CaseFrame, tw, unit):
     for (left, right), coeff in tw.coeffs.items():
         if (left, right) == unit:
             continue
-        lsupp = _supp(*left)
+        lsupp = _key_supp(left)
         if not (lsupp <= target):
             continue
         need = target - lsupp

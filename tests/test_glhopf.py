@@ -24,8 +24,10 @@ from cuspline.glhopf import (
     ZETA,
     GLElt,
     TensorGL,
+    _segmentwise_tensor,
     comult,
     comult_key,
+    comult_segment,
     contragredient,
     contragredient_key,
     delta_as_zeta,
@@ -160,6 +162,87 @@ def _coassoc_holds(key: Multisegment, basis: str) -> bool:
             [((l, u, v), c * c2) for (u, v), c2 in inner.terms.coeffs.items()]
         )
     return left_then == right_then
+
+
+@st.composite
+def key_with_repeats(draw, max_segments=4):
+    """A key on two lines from the package's sampler, seeded by hypothesis,
+    with one of its segments repeated about half of the time."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = sampling.random_multisegment(rng, ("rho", "tau"), max_segments)
+    if m.segments and draw(st.booleans()):
+        m = m + ms(rng.choice(m.segments))
+    return m
+
+
+def _concat_pairs(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+class TestComultAgainstSlowRoutes:
+    """The prefix-cached coproduct, the inline tensor product and the
+    trusted key constructors against the generic routes."""
+
+    @given(key_with_repeats(), st.sampled_from([DELTA, ZETA]))
+    @settings(max_examples=150, deadline=None)
+    def test_comult_key_is_the_fold_of_its_segments(self, m, basis):
+        # FormalSum.combine over the one-segment tensors, last segment first
+        want = FormalSum.lift((EMPTY_MS, EMPTY_MS))
+        for s in reversed(m.segments):
+            want = want.combine(comult_segment(s, basis).terms, _concat_pairs)
+        got = comult_key(m, basis)
+        assert got.basis == basis
+        assert got.terms == want
+        # the cached prefix keeps the association, so the term order too
+        order = _segmentwise_tensor(m, basis, comult_segment).terms.coeffs
+        assert list(got.terms.coeffs) == list(order)
+
+    @given(
+        key_with_repeats(max_segments=2),
+        key_with_repeats(max_segments=2),
+        key_with_repeats(max_segments=2),
+        st.sampled_from([3, -1, 1, -2]),
+        st.sampled_from([DELTA, ZETA]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tensor_product_is_the_pairwise_combine(self, a, b, c, k, basis):
+        x = k * comult_key(a, basis) - comult_key(b, basis)
+        y = comult_key(c, basis)
+        want = x.terms.combine(y.terms, _concat_pairs)
+        got = x * y
+        assert got.basis == basis
+        assert got.terms == want
+        assert list(got.terms.coeffs) == list(want.coeffs)
+        assert 0 not in got.terms.coeffs.values()
+
+    @given(key_with_repeats(), st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=100, deadline=None)
+    def test_single_keys_match_the_validating_constructors(self, m, c):
+        want = FormalSum({m: c})
+        assert FormalSum.lift(m, c) == want
+        for basis, make in ((DELTA, delta_key), (ZETA, zeta_key)):
+            assert make(m, c) == GLElt(basis, want)
+            assert GLElt.key(basis, m, c) == GLElt(basis, want)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.0])
+    def test_single_keys_refuse_non_int_coefficients(self, bad):
+        m = ms(seg(0, 1))
+        with pytest.raises(TypeError):
+            FormalSum.lift(m, bad)
+        for make in (delta_key, zeta_key, lambda m, c: GLElt.key(ZETA, m, c)):
+            with pytest.raises(TypeError):
+                make(m, bad)
+
+    def test_zero_coefficient_gives_zero(self):
+        m = ms(seg(0, 1))
+        assert FormalSum.lift(m, 0).coeffs == {}
+        assert delta_key(m, 0) == GLElt.zero(DELTA)
+        assert GLElt.key(ZETA, m, 0) == GLElt.zero(ZETA)
+
+    @pytest.mark.parametrize("basis", ["gamma", None, "Delta"])
+    def test_unknown_basis_refused(self, basis):
+        with pytest.raises(ValueError):
+            GLElt.key(basis, ms(seg(0, 1)))
 
 
 class TestContragredient:

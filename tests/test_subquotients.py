@@ -18,6 +18,7 @@ from cuspline.glhopf import DELTA, ZETA, mw_dual
 from cuspline.halfint import hi
 from cuspline.sampling import random_multisegment
 from cuspline.subquotients import (
+    _key_supp,
     _supp,
     AXIOM,
     CaseTag,
@@ -309,6 +310,16 @@ class TestSupportCounting:
         slow = Counter({x.num2: k for (_line, x), k in m.support().items()})
         assert _supp(*m) == slow
         assert _supp(*m, None) == slow
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_per_key_support_is_the_segment_count(self, seed):
+        rng = random.Random(seed)
+        m = random_multisegment(rng, lines=("rho", "tau"), max_segments=5)
+        if m.segments:  # a repeated segment
+            m = m + ms(rng.choice(m.segments))
+        assert _key_supp(m) == _supp(*m)
+        assert _key_supp(m) is _key_supp(m)  # counted once, then shared
 
     def test_point_and_long_segment(self):
         assert _supp(seg("1/2", "1/2")) == Counter({1: 1})
