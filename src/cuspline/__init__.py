@@ -16,8 +16,10 @@ language (``dsl``), and seeded random generators for property tests
 (``sampling``).  Everything is exact: exponents live in half-integers
 (``halfint``) and coefficients in arbitrary-precision integers.
 
-The names imported below are the package's public interface.
+The names imported below, and ``clear_caches``, are the package's public
+interface.
 """
+import sys
 
 from .halfint import HalfInt, hi
 from .core import (
@@ -113,3 +115,19 @@ from .criteria import (
 from .dsl import DslSyntaxError, DslTypeError, evaluate, parse
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every ``functools`` cache of the imported ``cuspline`` modules,
+    module-level or on a class (the restriction and certification memos and
+    the CLI parser), so that the next call recomputes: after replacing a
+    function that a memo calls, or before timing a cold run."""
+    for name, module in list(sys.modules.items()):
+        if name != __name__ and not name.startswith(__name__ + "."):
+            continue
+        values = list(vars(module).values())
+        values += [v for c in values if isinstance(c, type) for v in vars(c).values()]
+        for value in values:
+            value = getattr(value, "__func__", value)
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()

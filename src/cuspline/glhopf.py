@@ -28,7 +28,8 @@ Operations:
   product of memoized one-segment parts in the same way;
 * ``derivative`` / ``highest_derivative`` -- the positive ring endomorphism
   on the zeta basis and its lowest nonzero graded part, on positive input
-  the product of the one-segment lowest parts (no 2^k-term expansion);
+  the product of the memoized one-segment lowest parts (no 2^k-term
+  expansion);
 * ``mw_dual`` -- the chain-selection involution on multisegments.
 """
 from __future__ import annotations
@@ -407,14 +408,21 @@ def _lowest_part(terms: FormalSum) -> FormalSum:
     return terms.filter_keys(lambda key: key.size == low)
 
 
+@lru_cache(maxsize=None)
+def _lowest_derivative_segment(s: Segment) -> FormalSum:
+    """The lowest part of one generator's derivative.  Memoized like
+    ``zeta_segment_delta_expansion``: the value is immutable."""
+    return _lowest_part(_derivative_segment(s))
+
+
 def highest_derivative(x: GLElt) -> GLElt:
     """Lowest nonzero graded part of the derivative.  On positive input
     nothing cancels, so a key's part is the product of its segments' lowest
     parts ([Z]: a ring map); signed input takes the full expansion."""
     if x.basis == ZETA and all(c > 0 for c in x.terms.coeffs.values()):
-        d = x.terms.bind(lambda m: _segmentwise_product(
-            m, lambda s: _lowest_part(_derivative_segment(s))
-        ))
+        d = x.terms.bind(
+            lambda m: _segmentwise_product(m, _lowest_derivative_segment)
+        )
     else:  # signed input, or delta-basis input that ``derivative`` rejects
         d = derivative(x).terms
     return GLElt(ZETA, _lowest_part(d))

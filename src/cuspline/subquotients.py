@@ -34,6 +34,18 @@ one place that records a refutation as a failed step.  Its policy: a
 refuted witness-window or length step does not stop the later ones, the
 first refuted multiplicity step ends the multiplicity steps, and a report
 with a failed step carries no bounds and no counting conclusion.
+
+Two scans of a restriction depend on a few hashable values only, not on
+the datum, so each is memoized once per key (``functools.lru_cache``) and
+shared by every datum with that key: the completion candidates and the
+left factor carrying -alpha twice of the witness restriction, on (witness
+segment [-aa, aa], alpha) (``_witness_terms``); the left factors of a base
+atom's restriction, on the hash-consed atom (``_left_factors``).  The
+context never keys a memo: ``_validate_line`` checks the datum's line
+against it before any step runs, every memoized restriction lies on that
+line, and so the memos take their restrictions in the default context.
+The unit pairing and the merge and multi-point exclusions read their
+restrictions per datum, in its context.
 """
 from __future__ import annotations
 
@@ -512,6 +524,60 @@ def _run_steps(
 
 
 # ---------------------------------------------------------------------------
+# Restriction facts, memoized per key
+# ---------------------------------------------------------------------------
+#
+# Each reads only its arguments (a segment and a doubled exponent, or a
+# hash-consed atom) and returns immutable values; the Counters inside a
+# completion are shared, so no caller may mutate them.  Exponents are passed
+# doubled (``HalfInt.num2``) like the supports they index.
+
+class _WitnessTerms(NamedTuple):
+    """What the steps read of the restriction of a witness delta(sym) at
+    alpha.  Its terms other than (witness, unit) whose left factor completes
+    to the witness support with exponents from the factor alphabet of the
+    right tensorand (absolute value at least alpha): those missing one
+    exponent (``single``), those missing several (``multi``), the first one
+    whose coefficient is not 1 (``odd``); and the first left factor carrying
+    -alpha more than once (``doubled``)."""
+
+    single: Tuple[Tuple[Multisegment, Multisegment, Counter], ...]
+    multi: Tuple[Tuple[Multisegment, Multisegment, Counter], ...]
+    odd: Optional[Tuple[Multisegment, Multisegment, int]]
+    doubled: Optional[Multisegment]
+
+
+@lru_cache(maxsize=1024)
+def _witness_terms(sym: Segment, alpha2: int) -> _WitnessTerms:
+    """The ``_WitnessTerms`` of delta(sym) at alpha = alpha2 / 2, in one
+    pass over its restriction."""
+    unit = (ms(sym), EMPTY_MS)
+    target = _supp(sym)
+    single: List[Tuple[Multisegment, Multisegment, Counter]] = []
+    multi: List[Tuple[Multisegment, Multisegment, Counter]] = []
+    odd = doubled = None
+    for (left, right), coeff in twisted_comult(delta_key(ms(sym))).terms.coeffs.items():
+        lsupp = _key_supp(left)
+        if doubled is None and lsupp[-alpha2] > 1:
+            doubled = left
+        if (left, right) == unit or not (lsupp <= target):
+            continue
+        need = target - lsupp
+        if not need or any(abs(x) < alpha2 for x in need):
+            continue
+        if coeff != 1 and odd is None:
+            odd = (left, right, coeff)
+        (single if sum(need.values()) == 1 else multi).append((left, right, need))
+    return _WitnessTerms(tuple(single), tuple(multi), odd, doubled)
+
+
+@lru_cache(maxsize=1024)
+def _left_factors(atom) -> frozenset:
+    """The left keys of the restriction of a base atom."""
+    return frozenset(left for (left, _right) in module_comult_base(atom).terms.coeffs)
+
+
+# ---------------------------------------------------------------------------
 # Mechanical exclusion checks
 # ---------------------------------------------------------------------------
 
@@ -569,7 +635,7 @@ def _check_top_merge_exclusion(f: _CaseFrame, ctx: Context) -> str:
     )
 
 
-def _check_double_point_exclusion(f: _CaseFrame, ctx: Context) -> str:
+def _check_double_point_exclusion(f: _CaseFrame) -> str:
     """Marker exponent -alpha occurs twice in the embedded certificate but at
     most once in any term of the bottom-attached branch."""
     neg = -f.d.alpha
@@ -577,15 +643,14 @@ def _check_double_point_exclusion(f: _CaseFrame, ctx: Context) -> str:
         raise _Refuted(f"marker support does not contain {neg} exactly twice")
     # every left term of the twisted coproduct of the witness has -alpha
     # at most once
-    for (left, _right) in twisted_comult(f.witness, ctx).terms.coeffs:
-        if _key_supp(left)[neg.num2] > 1:
-            raise _Refuted(f"witness restriction term {left} carries {neg} twice")
+    left = _witness_terms(f.sym, f.d.alpha.num2).doubled
+    if left is not None:
+        raise _Refuted(f"witness restriction term {left} carries {neg} twice")
     # the general-linear list of the bottom-attached branch misses -alpha
     if _pm(_supp(*f.branch.gl))[neg.num2] > 0:
         raise _Refuted("branch list support reaches the doubled point")
-    for (left, _right) in module_comult_base(f.branch.temp.base).terms.coeffs:
-        if _key_supp(left)[neg.num2] > 0:
-            raise _Refuted("bottom atom restriction reaches the doubled point")
+    if any(_key_supp(left)[neg.num2] > 0 for left in _left_factors(f.branch.temp.base)):
+        raise _Refuted("bottom atom restriction reaches the doubled point")
     return (
         f"marker shows {neg} twice; witness restriction terms carry it at "
         "most once and no other factor of the bottom-attached branch "
@@ -764,9 +829,7 @@ def _length_steps(f: _CaseFrame, certs: Tuple[LanglandsDatum, ...], ctx: Context
         yield _Check(
             "down-merge exclusion", lambda: _check_second_merge_exclusion(f, ctx)
         )
-    yield _Check(
-        "double-point exclusion", lambda: _check_double_point_exclusion(f, ctx)
-    )
+    yield _Check("double-point exclusion", lambda: _check_double_point_exclusion(f))
     yield _Check("distinctness", lambda: _check_distinct(certs))
 
 
@@ -782,10 +845,9 @@ def check_length_ge5(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertReport
 def _mult_steps(f: _CaseFrame, ctx: Context):
     """The steps bounding the Jacquet multiplicity by 4, in report order;
     each check reads what the ones before it established."""
-    unit = (ms(f.sym), EMPTY_MS)
-    tw = twisted_comult(f.witness, ctx).terms
-    yield _Check("unit pairing", lambda: _check_unit_pairing(tw[unit]))
-    single, multi, odd = _completions(f, tw, unit)
+    unit = twisted_comult(f.witness, ctx).terms[(ms(f.sym), EMPTY_MS)]
+    yield _Check("unit pairing", lambda: _check_unit_pairing(unit))
+    single, multi, odd, _doubled = _witness_terms(f.sym, f.d.alpha.num2)
     yield _Check("candidate enumeration", lambda: _check_candidates(f, single, odd))
     if multi and f.tag == CaseTag.CASE_A:
         yield _Check(
@@ -820,30 +882,6 @@ def _check_unit_pairing(coeff: int) -> str:
         "coefficient exactly 2; pairing with the counit term "
         "contributes multiplicity 2"
     )
-
-
-def _completions(f: _CaseFrame, tw, unit):
-    """Terms of the witness restriction, other than (witness, unit), whose
-    left factor completes to the witness support with exponents from the
-    factor alphabet of the right tensorand: those missing one exponent,
-    those missing several, and the first one whose coefficient is not 1."""
-    target = _supp(f.sym)
-    single: List[Tuple[Multisegment, Multisegment, Counter]] = []
-    multi: List[Tuple[Multisegment, Multisegment, Counter]] = []
-    odd = None
-    for (left, right), coeff in tw.coeffs.items():
-        if (left, right) == unit:
-            continue
-        lsupp = _key_supp(left)
-        if not (lsupp <= target):
-            continue
-        need = target - lsupp
-        if not need or any(abs(x) < f.d.alpha.num2 for x in need):
-            continue
-        if coeff != 1 and odd is None:
-            odd = (left, right, coeff)
-        (single if sum(need.values()) == 1 else multi).append((left, right, need))
-    return single, multi, odd
 
 
 def _check_candidates(f: _CaseFrame, single, odd) -> str:
@@ -898,7 +936,7 @@ def _check_tail_left_factors(f: _CaseFrame) -> str:
     tail_n = (f.aa - d.alpha).num2 // 2
     atom = CoStGenSymbol(d.line, d.alpha, tail_n, d.sigma)
     point = ms(Segment(-f.aa, -f.aa, d.line))
-    lefts = {left for (left, _right) in module_comult_base(atom).terms.coeffs}
+    lefts = _left_factors(atom)
     if point not in lefts:
         raise _Refuted(
             "expected singleton left factor missing from the tail restriction"

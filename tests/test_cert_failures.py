@@ -22,6 +22,11 @@ test the tiling's own geometry (segment arithmetic and supports only):
 * regularity: the candidate set equals the expected pair by then, and both
   members are multiplicity-free.
 
+Some certificate steps read restrictions through per-key memos, so a patched
+function is called only on a memo miss: every patch context empties all
+caches on entering and on leaving (``_patched``), and
+``test_pinned_reports_survive_warm_memos`` warms the memos first.
+
 Regenerate the golden file only for an intended output change, and say so
 in the change log::
 
@@ -35,7 +40,7 @@ import pathlib
 
 import pytest
 
-from cuspline import cli
+from cuspline import clear_caches, cli
 from cuspline import subquotients as S
 from cuspline.classical import (
     CoStGenSymbol,
@@ -204,11 +209,24 @@ CLI_CASES = (
 )
 
 
+@contextlib.contextmanager
+def _patched(patches):
+    """``patches`` applied to ``cuspline.subquotients``, with every cache
+    emptied on entering, so that the memos call the patched functions, and
+    on leaving, so that no value computed under a patch outlives it."""
+    clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in patches:
+                mp.setattr(S, name, value)
+            yield
+    finally:
+        clear_caches()
+
+
 def _reports(scenario):
     patches, runs = SCENARIOS[scenario]
-    with pytest.MonkeyPatch.context() as mp:
-        for name, value in patches:
-            mp.setattr(S, name, value)
+    with _patched(patches):
         out = []
         for check, d in runs:
             rep = getattr(S, check)(d)
@@ -223,8 +241,7 @@ def _reports(scenario):
 
 def _cli(argv):
     out = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(S, "dominates", lambda v, w: True)
+    with _patched([("dominates", lambda v, w: True)]):
         with contextlib.redirect_stdout(out):
             code = cli.main(list(argv))
     return {"argv": argv, "exit": code, "stdout": out.getvalue().splitlines()}
@@ -273,9 +290,7 @@ def test_failed_single_check_exits_1(as_json):
     the "dominance always holds" scenario."""
     argv = ["check-prop41", "--alpha", "1/2", "--n", "3", "--cuts", "010"]
     out = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        for name, value in SCENARIOS["dominance always holds"][0]:
-            mp.setattr(S, name, value)
+    with _patched(SCENARIOS["dominance always holds"][0]):
         with contextlib.redirect_stdout(out):
             code = cli.main(argv + ["--json"] * as_json)
     assert code == cli.EXIT_FAIL
@@ -287,6 +302,28 @@ def test_failed_single_check_exits_1(as_json):
         lines = out.getvalue().splitlines()
         assert lines[0] == f"case-a: {A_TOP}"
         assert lines[-1] == "  result: FAIL"
+
+
+def _warm_memos():
+    """A clean sweep over every chain the scenarios and command lines use,
+    which fills each per-key memo a patched scenario reads; every datum
+    must pass, so a value computed under an earlier patch that outlived it
+    shows here."""
+    for alpha, n in (("1/2", 2), ("1/2", 3), ("1", 2)):
+        for d in S.enumerate_subquotients(hi(alpha), n):
+            if S.classify(d) not in S.EXTREMES:
+                assert S.check_prop41(d).ok
+
+
+def test_pinned_reports_survive_warm_memos(expected):
+    """With every memo warm from a clean sweep, each patch still reaches its
+    pinned FAILED report (a memo filled before the patch would hide it)."""
+    for scenario in SCENARIOS:
+        _warm_memos()
+        assert _reports(scenario) == expected["scenarios"][scenario], scenario
+    for argv in CLI_CASES:
+        _warm_memos()
+        assert _cli(argv) == expected["cli"][" ".join(argv)]
 
 
 def test_expected_file_lists_every_case(expected):

@@ -4,12 +4,11 @@ import dataclasses
 import gc
 import pickle
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspline import classical, sampling
+from cuspline import classical, clear_caches, sampling
 from cuspline.core import (
     Context,
     EMPTY_MS,
@@ -511,11 +510,7 @@ class TestInterning:
     def test_identity_outlives_cache_clearing_and_churn(self):
         kept = InducedSymbol(ms(seg(0, 1)), CoStGenSymbol("rho", hi(1), 1, "churn"))
         rights = [r for _l, r in module_comult(ClassElt.key(kept)).terms.coeffs]
-        for name, module in list(sys.modules.items()):
-            if name.startswith("cuspline"):
-                for value in vars(module).values():
-                    if hasattr(value, "cache_clear"):
-                        value.cache_clear()
+        clear_caches()
         alive = [InducedSymbol(ms(seg(0, i % 7)), CuspSymbol(f"churn-{i}")) for i in range(3000)]
         assert interned_over("churn-") == 2 * len(alive)
         assert InducedSymbol(ms(seg(0, 1)), CoStGenSymbol("rho", hi(1), 1, "churn")) is kept

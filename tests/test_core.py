@@ -1,16 +1,16 @@
 """Unit tests for half-integers, segments, multisegments and formal sums."""
 import copy
+import functools
 import gc
 import json
 import pickle
 import random
-import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspline import core
+from cuspline import clear_caches, cli, core
 from cuspline.core import (
     EMPTY_MS,
     EmptySegmentError,
@@ -285,11 +285,7 @@ class TestInterning:
 
     def test_identity_outlives_cache_clearing_and_churn(self):
         kept = ms(seg(0, 2, "churn-a"), seg(1, 1, "churn-b"))
-        for name, module in list(sys.modules.items()):
-            if name.startswith("cuspline"):
-                for value in vars(module).values():
-                    if hasattr(value, "cache_clear"):
-                        value.cache_clear()
+        clear_caches()
         alive = [ms(seg(0, i % 7, "churn-c"), seg(i, i, "churn-c")) for i in range(5000)]
         assert interned_on("churn-c") == len(alive)
         assert ms(seg(1, 1, "churn-b"), seg(0, 2, "churn-a")) is kept
@@ -327,3 +323,28 @@ class TestFormalSum:
     def test_non_int_coefficients_rejected(self):
         with pytest.raises(TypeError):
             FormalSum({"a": 1.5})
+
+
+class TestClearCaches:
+    def test_every_cache_is_empty_after_the_call(self):
+        """Found independently of ``clear_caches``' own walk: every
+        ``functools`` cache object of the package that the collector sees."""
+        assert cli.main(["check-prop41", "--alpha", "1/2", "--n", "3", "--all"]) == 0
+        caches = {
+            f"{c.__module__}.{c.__qualname__}": c
+            for c in gc.get_objects()
+            if isinstance(c, functools._lru_cache_wrapper)
+            and c.__module__.split(".")[0] == "cuspline"
+        }
+        warm = (
+            "cuspline.cli.build_parser",
+            "cuspline.glhopf.comult_key",
+            "cuspline.glhopf._lowest_derivative_segment",
+            "cuspline.subquotients._witness_terms",
+            "cuspline.subquotients._left_factors",
+        )
+        assert all(caches[name].cache_info().currsize > 0 for name in warm)
+        clear_caches()
+        assert {k: c.cache_info().currsize for k, c in caches.items()} == dict.fromkeys(
+            caches, 0
+        )

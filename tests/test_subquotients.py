@@ -5,23 +5,39 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspline.core import Context, Line, LineError, Segment, ms
+from cuspline import clear_caches
+from cuspline.core import EMPTY_MS, Context, Line, LineError, Segment, ms
 from cuspline.classical import (
+    CoStGenSymbol,
     CuspSymbol,
     DeltaPM,
     LanglandsDatum,
     StGenSymbol,
     TauPM,
     TempBase,
+    module_comult_base,
 )
-from cuspline.glhopf import DELTA, ZETA, mw_dual
+from cuspline.glhopf import (
+    DELTA,
+    ZETA,
+    derivative,
+    mw_dual,
+    twisted_comult,
+    zeta_key,
+)
 from cuspline.halfint import hi
 from cuspline.sampling import random_multisegment
+from cuspline.glhopf import _lowest_derivative_segment
 from cuspline.subquotients import (
+    _frame,
     _key_supp,
+    _left_factors,
+    _partner_frame,
     _supp,
+    _witness_terms,
     AXIOM,
     CaseTag,
+    EXTREMES,
     FAILED,
     MAX_CHAIN_LENGTH,
     SubqDatum,
@@ -324,6 +340,98 @@ class TestSupportCounting:
     def test_point_and_long_segment(self):
         assert _supp(seg("1/2", "1/2")) == Counter({1: 1})
         assert _supp(seg(-1, 2), seg(0, 0)) == Counter({-2: 1, 0: 2, 2: 1, 4: 1})
+
+
+def _supp2(m) -> Counter:
+    """Doubled exponents of a key, through ``Multisegment.support()``."""
+    return Counter({x.num2: k for (_line, x), k in m.support().items()})
+
+
+def _eligible_frames():
+    """The frame of every eligible datum with n <= 6 at five alphas, in one
+    pass, so that a memo which forgets part of its key meets a key it has
+    already seen under another alpha."""
+    for alpha in ("1/2", "1", "3/2", "2", "5/2"):
+        for n in range(7):
+            for d in enumerate_subquotients(alpha, n):
+                tag = classify(d)
+                if tag in EXTREMES:
+                    continue
+                yield _partner_frame(d) if tag is CaseTag.CASE_C else _frame(d, tag)
+
+
+class TestPerKeyMemos:
+    """Every per-key memo against its direct computation from the unmemoized
+    restriction, on the keys of every eligible datum with n <= 6 at five
+    alphas; the exponent arguments also run over the key's whole range, so
+    that the memos' positive answers are checked too."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_caches()
+        yield
+        clear_caches()
+
+    def test_witness_terms(self):
+        seen = 0
+        for f in _eligible_frames():
+            alpha2 = f.d.alpha.num2
+            tw = twisted_comult(f.witness).terms
+            unit = (ms(f.sym), EMPTY_MS)
+            target = _supp2(ms(f.sym))
+            single, multi, odd = [], [], None
+            for (left, right), coeff in tw.coeffs.items():
+                have = _supp2(left)
+                if (left, right) == unit or any(have[x] > target[x] for x in have):
+                    continue
+                need = target - have
+                if need and min(abs(x) for x in need) >= alpha2:
+                    if coeff != 1 and odd is None:
+                        odd = (left, right, coeff)
+                    (single if sum(need.values()) == 1 else multi).append(
+                        (left, right, need)
+                    )
+            assert _witness_terms(f.sym, alpha2) == (
+                tuple(single), tuple(multi), odd, None
+            ), f.d
+            seen += bool(multi)
+        assert seen > 0
+
+    def test_doubled_witness_term(self):
+        found, swept = 0, set()
+        for f in _eligible_frames():
+            if f.sym in swept:
+                continue
+            swept.add(f.sym)
+            supps = [
+                (left, _supp2(left))
+                for left, _right in twisted_comult(f.witness).terms.coeffs
+            ]
+            # a left factor can carry a positive exponent twice, never a
+            # negative one: the sweep passes -x2 for both signs
+            for x2 in range(-f.sym.e.num2, f.sym.e.num2 + 1, 2):
+                want = next((l for l, s in supps if s[-x2] > 1), None)
+                assert _witness_terms(f.sym, x2).doubled == want, (f.d, x2)
+                found += want is not None
+        assert found > 0
+
+    def test_left_factors(self):
+        for f in _eligible_frames():
+            atoms = [f.branch.temp.base]
+            if f.tag is CaseTag.CASE_B:
+                tail_n = (f.aa - f.d.alpha).num2 // 2
+                atoms.append(CoStGenSymbol(f.d.line, f.d.alpha, tail_n, f.d.sigma))
+            for atom in atoms:
+                want = {left for left, _right in module_comult_base(atom).terms.coeffs}
+                assert _left_factors(atom) == want, (f.d, atom)
+
+    def test_lowest_derivative_segment(self):
+        for f in _eligible_frames():
+            if f.tag is not CaseTag.CASE_B:
+                continue
+            for s in ms(f.sym) + f.full:
+                parts = derivative(zeta_key(ms(s))).graded_parts()
+                assert _lowest_derivative_segment(s) == parts[min(parts)].terms, s
 
 
 class TestContextValidation:
