@@ -537,7 +537,7 @@ class LanglandsDatum:
 
     def __post_init__(self):
         for s in self.gl:
-            if not (s.center > hi(0)):
+            if s.b.num2 + s.e.num2 <= 0:  # twice the center
                 raise DatumError(
                     f"Langlands datum needs strictly positive centers, got {s}"
                 )

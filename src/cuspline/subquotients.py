@@ -41,17 +41,20 @@ shared by every datum with that key: the completion candidates and the
 left factor carrying -alpha twice of the witness restriction, on (witness
 segment [-aa, aa], alpha) (``_witness_terms``); the left factors of a base
 atom's restriction, on the hash-consed atom (``_left_factors``).  The
-context never keys a memo: ``_validate_line`` checks the datum's line
-against it before any step runs, every memoized restriction lies on that
-line, and so the memos take their restrictions in the default context.
-The unit pairing and the merge and multi-point exclusions read their
-restrictions per datum, in its context.
+report of a bottom-empty datum is memoized as well (``_report``, on the
+datum, the two check flags and the (witness, unit) coefficient), so a
+case-C datum transports the report its partner already made instead of
+building it again.  The context never keys a memo: ``_validate_line``
+checks the datum's line against it before any step runs, every
+restriction a step reads lies on that line, and so the memoized bodies
+take their restrictions in the default context.  Only the unit pairing
+still reads a restriction per call, in the caller's context.
 """
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -600,7 +603,7 @@ def _check_exponent_sum_exclusion(f: _CaseFrame) -> str:
     )
 
 
-def _check_top_merge_exclusion(f: _CaseFrame, ctx: Context) -> str:
+def _check_top_merge_exclusion(f: _CaseFrame) -> str:
     """Marker exponents c (present) and c+1 (absent) rule out the branch
     that merges the pivot with the block above it."""
     if not f.upper:
@@ -616,7 +619,7 @@ def _check_top_merge_exclusion(f: _CaseFrame, ctx: Context) -> str:
     if not (c1 <= d_top):
         raise _Refuted("merged block does not reach past the marker exponent")
     merged_block = Segment(f.aa, d_top, f.d.line)
-    expansion = gl_twisted_part(delta_key(ms(merged_block)), ctx)
+    expansion = gl_twisted_part(delta_key(ms(merged_block)))
     for key in expansion.terms.coeffs:
         supp = _key_supp(key)
         if supp[c.num2] > 0 and supp[c1.num2] == 0:
@@ -658,7 +661,7 @@ def _check_double_point_exclusion(f: _CaseFrame) -> str:
     )
 
 
-def _check_second_merge_exclusion(f: _CaseFrame, ctx: Context) -> str:
+def _check_second_merge_exclusion(f: _CaseFrame) -> str:
     """Singleton-bottom case only: the branch merging the pivot downward is
     ruled out because no factor can produce a segment ending at -alpha'."""
     d = f.d
@@ -678,7 +681,7 @@ def _check_second_merge_exclusion(f: _CaseFrame, ctx: Context) -> str:
     for name, factor in (
         ("witness", f.witness), ("merged-down", delta_key(ms(merged_low)))
     ):
-        for key in gl_twisted_part(factor, ctx).terms.coeffs:
+        for key in gl_twisted_part(factor).terms.coeffs:
             for s in key:
                 if s.e == neg_end:
                     raise _Refuted(
@@ -762,7 +765,7 @@ def _check_witness_window(f: _CaseFrame) -> str:
 # Length check
 # ---------------------------------------------------------------------------
 
-def _length_steps(f: _CaseFrame, certs: Tuple[LanglandsDatum, ...], ctx: Context):
+def _length_steps(f: _CaseFrame, certs: Tuple[LanglandsDatum, ...]):
     """The steps showing that ``certs`` are five distinct constituents of
     the witness product, in report order."""
     d = f.d
@@ -824,10 +827,10 @@ def _length_steps(f: _CaseFrame, certs: Tuple[LanglandsDatum, ...], ctx: Context
         "product with the witness",
         citation="[T-CJM] Prop. 5.3",
     )
-    yield _Check("top-merge exclusion", lambda: _check_top_merge_exclusion(f, ctx))
+    yield _Check("top-merge exclusion", lambda: _check_top_merge_exclusion(f))
     if f.tag == CaseTag.CASE_B:
         yield _Check(
-            "down-merge exclusion", lambda: _check_second_merge_exclusion(f, ctx)
+            "down-merge exclusion", lambda: _check_second_merge_exclusion(f)
         )
     yield _Check("double-point exclusion", lambda: _check_double_point_exclusion(f))
     yield _Check("distinctness", lambda: _check_distinct(certs))
@@ -842,16 +845,16 @@ def check_length_ge5(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertReport
 # Multiplicity check
 # ---------------------------------------------------------------------------
 
-def _mult_steps(f: _CaseFrame, ctx: Context):
-    """The steps bounding the Jacquet multiplicity by 4, in report order;
-    each check reads what the ones before it established."""
-    unit = twisted_comult(f.witness, ctx).terms[(ms(f.sym), EMPTY_MS)]
+def _mult_steps(f: _CaseFrame, unit: int):
+    """The steps bounding the Jacquet multiplicity by 4, in report order,
+    given the (witness, unit) coefficient ``unit``; each check reads what
+    the ones before it established."""
     yield _Check("unit pairing", lambda: _check_unit_pairing(unit))
     single, multi, odd, _doubled = _witness_terms(f.sym, f.d.alpha.num2)
     yield _Check("candidate enumeration", lambda: _check_candidates(f, single, odd))
     if multi and f.tag == CaseTag.CASE_A:
         yield _Check(
-            "multi-point exclusion", lambda: _check_multi_need_case_a(f, ctx, multi)
+            "multi-point exclusion", lambda: _check_multi_need_case_a(f, multi)
         )
     elif multi:
         yield CertStep(
@@ -905,11 +908,11 @@ def _check_candidates(f: _CaseFrame, single, odd) -> str:
     )
 
 
-def _check_multi_need_case_a(f: _CaseFrame, ctx: Context, multi) -> str:
+def _check_multi_need_case_a(f: _CaseFrame, multi) -> str:
     """A completion needing both signed endpoints would need one factor of
     the right tensorand's restriction to carry -alpha and +alpha together."""
     neg, pos = -f.d.alpha.num2, f.d.alpha.num2
-    pivot_part = gl_twisted_part(delta_key(ms(f.pivot)), ctx).terms.coeffs
+    pivot_part = gl_twisted_part(delta_key(ms(f.pivot))).terms.coeffs
     upper_pm = _pm(_supp(*f.upper))
     if (
         # a completion of another shape is not covered; be conservative
@@ -985,6 +988,16 @@ def _validate_line(d: SubqDatum, ctx: Context) -> None:
         )
 
 
+_TRANSPORT = CertStep(
+    "involution transport",
+    AXIOM,
+    "the duality involution preserves lengths and Jacquet multiplicities, "
+    "and carries the partner's witness product to the witness product of "
+    "this datum",
+    citation="[Au] Cor. 3.9",
+)
+
+
 def _run_check(
     d: SubqDatum, ctx: Context, want_length: bool, want_mult: bool
 ) -> CertReport:
@@ -994,49 +1007,50 @@ def _run_check(
             f"{tag.value} is one of the two excluded extreme subquotients"
         )
     _validate_line(d, ctx)
+    f = _partner_frame(d) if tag == CaseTag.CASE_C else _frame(d, tag)
+    unit = twisted_comult(f.witness, ctx).terms[(ms(f.sym), EMPTY_MS)]
+    inner = _report(f.d, want_length, want_mult, unit)
     if tag != CaseTag.CASE_C:
-        return _report(_frame(d, tag), ctx, want_length, want_mult)
-    f = _partner_frame(d)
-    inner = _report(f, ctx, want_length, want_mult)
-    steps = (
-        CertStep(
-            "dual partner",
-            VERIFIED,
-            f"the involution partner {f.d} is bottom-empty with a long "
-            "block, so the bottom-empty machinery applies to it",
+        return inner
+    partner = CertStep(
+        "dual partner",
+        VERIFIED,
+        f"the involution partner {f.d} is bottom-empty with a long block, so "
+        "the bottom-empty machinery applies to it",
+    )
+    return CertReport(
+        CaseTag.CASE_C,
+        d,
+        zeta_key(ms(f.sym)),
+        tuple(LanglandsDatum(c.gl, c.temp, True) for c in inner.certificates),
+        (partner, _TRANSPORT) + tuple(
+            CertStep("dual·" + s.label, s.status, s.detail, s.citation)
+            for s in inner.steps
         ),
-        CertStep(
-            "involution transport",
-            AXIOM,
-            "the duality involution preserves lengths and Jacquet "
-            "multiplicities, and carries the partner's witness product to "
-            "the witness product of this datum",
-            citation="[Au] Cor. 3.9",
-        ),
-    ) + tuple(replace(s, label="dual·" + s.label) for s in inner.steps)
-    return replace(
-        inner,
-        case=CaseTag.CASE_C,
-        datum=d,
-        witness=zeta_key(ms(f.sym)),
-        certificates=tuple(replace(c, dualized=True) for c in inner.certificates),
-        steps=steps,
-        transported_from=f.d,
+        inner.length_bound,
+        inner.mult_bound,
+        inner.ok,
+        f.d,
     )
 
 
+@lru_cache(maxsize=1024)
 def _report(
-    f: _CaseFrame, ctx: Context, want_length: bool, want_mult: bool
+    d: SubqDatum, want_length: bool, want_mult: bool, unit: int
 ) -> CertReport:
-    """The report of a bottom-empty datum, from its frame."""
+    """The report of a bottom-empty datum ``d`` whose witness restriction
+    has (witness, unit) coefficient ``unit``.  Memoized on every value it
+    reads, so a case-C datum transports the report its partner already
+    made; the caller validates the line first."""
+    f = _frame(d, classify(d))
     checks: List = [_Check("witness window", lambda: _check_witness_window(f))]
     certs: Tuple[LanglandsDatum, ...] = ()
     if want_length:
         certs = _certificates(f)
-        checks.extend(_length_steps(f, certs, ctx))
+        checks.extend(_length_steps(f, certs))
     steps, ok = _run_steps(checks)
     if want_mult:
-        mult_steps, mult_ok = _run_steps(_mult_steps(f, ctx), stop_at_failure=True)
+        mult_steps, mult_ok = _run_steps(_mult_steps(f, unit), stop_at_failure=True)
         steps += mult_steps
         ok = ok and mult_ok
     if want_length and want_mult and ok:

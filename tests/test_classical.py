@@ -314,12 +314,16 @@ class TestTemperedSymbols:
 
 class TestLanglandsDatum:
     def test_requires_positive_centers(self):
-        with pytest.raises(DatumError):
-            LanglandsDatum(ms(seg(-1, 1)), TempBase(CuspSymbol()))
-        with pytest.raises(DatumError):
-            LanglandsDatum(ms(seg(-2, -1)), TempBase(CuspSymbol()))
-        d = LanglandsDatum(ms(seg(0, 1)), TempBase(CuspSymbol()))
-        assert d.gl.size == 2
+        # center 0 or negative, at integer and half-integer ends, alone or
+        # after a valid segment, plain or dualized
+        for b, e in [(-1, 1), ("-1/2", "1/2"), (0, 0), (-2, -1), (-3, 1), ("-3/2", "1/2")]:
+            for gl in (ms(seg(b, e)), ms(seg(1, 2), seg(b, e))):
+                for dualized in (False, True):
+                    with pytest.raises(DatumError):
+                        LanglandsDatum(gl, TempBase(CuspSymbol()), dualized)
+        for b, e in [(0, 1), ("-1/2", "3/2"), ("1/2", "1/2"), (-2, 3)]:
+            d = LanglandsDatum(ms(seg(b, e)), TempBase(CuspSymbol()))
+            assert d.gl == ms(seg(b, e))
 
     def test_dualized_flag_in_equality(self):
         base = TempBase(CuspSymbol())

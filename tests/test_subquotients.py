@@ -1,12 +1,16 @@
 """Tests for subquotient labels, classification, and the counting checks."""
 import random
 from collections import Counter
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspline import clear_caches
-from cuspline.core import EMPTY_MS, Context, Line, LineError, Segment, ms
+from cuspline import clear_caches, subquotients
+from cuspline.core import (
+    DEFAULT_CONTEXT, EMPTY_MS, Context, Line, LineError, Segment, ms
+)
 from cuspline.classical import (
     CoStGenSymbol,
     CuspSymbol,
@@ -33,10 +37,13 @@ from cuspline.subquotients import (
     _key_supp,
     _left_factors,
     _partner_frame,
+    _report,
     _supp,
     _witness_terms,
     AXIOM,
     CaseTag,
+    CertReport,
+    CertStep,
     EXTREMES,
     FAILED,
     MAX_CHAIN_LENGTH,
@@ -347,17 +354,22 @@ def _supp2(m) -> Counter:
     return Counter({x.num2: k for (_line, x), k in m.support().items()})
 
 
-def _eligible_frames():
-    """The frame of every eligible datum with n <= 6 at five alphas, in one
-    pass, so that a memo which forgets part of its key meets a key it has
-    already seen under another alpha."""
+def _eligible_data():
+    """Every eligible datum with n <= 6 at five alphas, in one pass, so that
+    a memo which forgets part of its key meets a key it has already seen
+    under another alpha."""
     for alpha in ("1/2", "1", "3/2", "2", "5/2"):
         for n in range(7):
             for d in enumerate_subquotients(alpha, n):
-                tag = classify(d)
-                if tag in EXTREMES:
-                    continue
-                yield _partner_frame(d) if tag is CaseTag.CASE_C else _frame(d, tag)
+                if classify(d) not in EXTREMES:
+                    yield d
+
+
+def _eligible_frames():
+    """The frame of every eligible datum (its partner's in case C)."""
+    for d in _eligible_data():
+        tag = classify(d)
+        yield _partner_frame(d) if tag is CaseTag.CASE_C else _frame(d, tag)
 
 
 class TestPerKeyMemos:
@@ -432,6 +444,121 @@ class TestPerKeyMemos:
             for s in ms(f.sym) + f.full:
                 parts = derivative(zeta_key(ms(s))).graded_parts()
                 assert _lowest_derivative_segment(s) == parts[min(parts)].terms, s
+
+
+_CHECKS = (check_prop41, check_length_ge5, check_mult_le4)
+
+
+def _transport_by_replace(d, inner):
+    """The case-C report of ``d`` from its partner's report ``inner``,
+    copied field by field through ``dataclasses.replace``."""
+    steps = (
+        CertStep(
+            "dual partner",
+            VERIFIED,
+            f"the involution partner {inner.datum} is bottom-empty with a "
+            "long block, so the bottom-empty machinery applies to it",
+        ),
+        CertStep(
+            "involution transport",
+            AXIOM,
+            "the duality involution preserves lengths and Jacquet "
+            "multiplicities, and carries the partner's witness product to "
+            "the witness product of this datum",
+            citation="[Au] Cor. 3.9",
+        ),
+    ) + tuple(replace(s, label="dual·" + s.label) for s in inner.steps)
+    return replace(
+        inner,
+        case=CaseTag.CASE_C,
+        datum=d,
+        witness=witness(d),
+        certificates=tuple(replace(c, dualized=True) for c in inner.certificates),
+        steps=steps,
+        transported_from=inner.datum,
+    )
+
+
+def _assert_same_report(got, want, where):
+    for fld in fields(CertReport):
+        assert getattr(got, fld.name) == getattr(want, fld.name), (where, fld.name)
+
+
+class TestReportMemo:
+    """The bottom-empty report memo (``_report``) against reports made with
+    every cache cleared, and its case-C transport against the
+    ``dataclasses.replace`` route."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_caches()
+        yield
+        clear_caches()
+
+    def test_warm_reports_equal_cold_reports(self):
+        data = list(_eligible_data())
+        cold = {}
+        for d in data:
+            clear_caches()
+            for check in _CHECKS:
+                cold[d, check] = check(d)
+        calls = [(d, check) for d in data for check in _CHECKS]
+        random.Random(16).shuffle(calls)
+        clear_caches()
+        for d, check in calls:
+            got = check(d)
+            where = (str(d), check.__name__)
+            _assert_same_report(got, cold[d, check], where)
+            if classify(d) is CaseTag.CASE_C:
+                want = _transport_by_replace(d, cold[aubert_pair(d), check])
+                _assert_same_report(got, want, where)
+        assert _report.cache_info().hits > 0
+
+    def test_context_is_enforced_on_a_memo_hit(self):
+        for d in (CASE_B_1, CASE_C_1):
+            assert check_prop41(d).ok
+        hits = _report.cache_info().hits
+        for ctx in (
+            Context(lines={"rho": Line("rho", selfdual=False)}),
+            Context(lines={"rho": Line("rho", selfdual=True, alpha=hi(1))}),
+        ):
+            for d in (CASE_B_1, CASE_C_1):
+                with pytest.raises(LineError):
+                    check_prop41(d, ctx)
+        assert _report.cache_info().hits == hits
+
+    def test_warm_check_reads_the_unit_in_the_callers_context(self, monkeypatch):
+        seen = []
+
+        def counting(x, ctx=DEFAULT_CONTEXT):
+            seen.append(ctx)
+            return twisted_comult(x, ctx)
+
+        monkeypatch.setattr(subquotients, "twisted_comult", counting)
+        ctx = Context(lines={"rho": Line("rho", selfdual=True, alpha=hi("1/2"))})
+        for check in _CHECKS:
+            for d in (CASE_B_1, CASE_C_1):
+                check(d)
+                seen.clear()
+                hits = _report.cache_info().hits
+                assert check(d, ctx).ok
+                assert _report.cache_info().hits == hits + 1
+                assert len(seen) == 1 and seen[0] is ctx
+
+    def test_a_changed_unit_misses_the_memo(self, monkeypatch):
+        for d in (CASE_B_1, CASE_C_1):
+            assert check_mult_le4(d).ok
+        # every coefficient of the witness restriction now reads 0
+        monkeypatch.setattr(
+            subquotients,
+            "twisted_comult",
+            lambda x, ctx=DEFAULT_CONTEXT: SimpleNamespace(terms=Counter()),
+        )
+        for d in (CASE_B_1, CASE_C_1):
+            rep = check_mult_le4(d)
+            assert not rep.ok and rep.mult_bound is None
+            (step,) = [s for s in rep.steps if s.label.endswith("unit pairing")]
+            assert step.status == FAILED
 
 
 class TestContextValidation:
