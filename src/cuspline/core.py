@@ -354,7 +354,7 @@ EMPTY_MS = Multisegment()
 
 
 def ms(*segments: Optional[Segment]) -> Multisegment:
-    return Multisegment(s for s in segments if s is not None)
+    return Multisegment(segments)
 
 
 # ---------------------------------------------------------------------------

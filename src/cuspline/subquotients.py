@@ -22,18 +22,17 @@ step is VERIFIED (a finite computation done here), AXIOM (an input fact of
 representation theory, with its citation tag), or failed (a computation
 here refuted its claim).
 
-Each datum is certified in one pass.  ``_run_check`` classifies it once
-and builds its ``_CaseFrame`` once (for a case-C datum, the frame of its
-bottom-empty involution partner); the frame holds the case tag, the
-tiling, the pivot geometry and the witness, and every step helper reads
-it.  The steps come in a fixed order: the witness window, the length steps
-(for a length check), then the multiplicity steps (for a multiplicity
-check).  A check helper returns the detail of its VERIFIED step or raises
-``_Refuted`` with the detail of the refutation, and ``_run_steps`` is the
-one place that records a refutation as a failed step.  Its policy: a
-refuted witness-window or length step does not stop the later ones, the
-first refuted multiplicity step ends the multiplicity steps, and a report
-with a failed step carries no bounds and no counting conclusion.
+Each datum is certified in one pass.  ``_frame`` resolves an eligible
+datum to the ``_CaseFrame`` (tiling, pivot geometry, witness) of the
+bottom-empty datum that certifies it: itself in case A or B, its
+involution partner in case C.  The steps read the frame in a fixed order:
+the witness window, the length steps, then the multiplicity steps.  A
+check returns its detail or raises ``_Refuted``, and ``_check`` turns
+either into a finished step.  The step generators are lazy; the report
+reads them with one policy: a refuted witness-window or length step does
+not stop the later ones, the first refuted multiplicity step ends the
+multiplicity steps (no later check runs), and a report with a failed step
+carries no bounds and no counting conclusion.
 
 Two scans of a restriction depend on a few hashable values only, not on
 the datum, so each is memoized once per key (``functools.lru_cache``) and
@@ -56,7 +55,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     Context,
@@ -329,12 +328,11 @@ def induced_split(d: SubqDatum) -> Tuple[SubqDatum, SubqDatum]:
 # Support utilities (single line)
 # ---------------------------------------------------------------------------
 
-def _supp(*segments: Optional[Segment]) -> Counter:
+def _supp(*segments: Segment) -> Counter:
     """Multiset of exponents, keyed by doubled value (``HalfInt.num2``)."""
     out: Counter = Counter()
     for s in segments:
-        if s is not None:
-            out.update(range(s.b.num2, s.e.num2 + 1, 2))
+        out.update(range(s.b.num2, s.e.num2 + 1, 2))
     return out
 
 
@@ -432,27 +430,26 @@ class _CaseFrame:
         )
 
 
-def _frame(d: SubqDatum, tag: CaseTag) -> _CaseFrame:
-    """The frame of a case-A or case-B datum: the pivot is its lowest block
-    longer than a point (the bottom block in case A)."""
+def _frame(d: SubqDatum) -> _CaseFrame:
+    """The frame of the bottom-empty datum certifying the eligible ``d``
+    (``d`` in case A or B, its involution partner in case C); the pivot is
+    the lowest block longer than a point (the bottom block in case A)."""
+    tag = classify(d)
+    if tag == CaseTag.CASE_C:
+        pair = aubert_pair(d)
+        tag = classify(pair)
+        if tag not in (CaseTag.CASE_A, CaseTag.CASE_B):
+            raise CertificateError(
+                f"dual partner of {d} classifies as {tag.value}; expected a "
+                "bottom-empty case"
+            )
+        d = pair
     blocks = d.blocks()
     idx = max(i for i, b in enumerate(blocks) if b.length > 1)
     pivot = blocks[idx]
     return _CaseFrame(
         d, tag, blocks, pivot.b, pivot.e, pivot, blocks[:idx], blocks[idx + 1:]
     )
-
-
-def _partner_frame(d: SubqDatum) -> _CaseFrame:
-    """The frame of the involution partner of a case-C datum."""
-    pair = aubert_pair(d)
-    tag = classify(pair)
-    if tag not in (CaseTag.CASE_A, CaseTag.CASE_B):
-        raise CertificateError(
-            f"dual partner of {d} classifies as {tag.value}; expected a "
-            "bottom-empty case"
-        )
-    return _frame(pair, tag)
 
 
 def witness(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
@@ -462,9 +459,9 @@ def witness(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
         raise UnsupportedDatumError(
             "the two extreme subquotients carry no counting witness"
         )
-    if tag == CaseTag.CASE_C:
-        return zeta_key(ms(_partner_frame(d).sym))
-    return _frame(d, tag).witness
+    _validate_line(d, ctx)
+    f = _frame(d)
+    return zeta_key(ms(f.sym)) if tag == CaseTag.CASE_C else f.witness
 
 
 # ---------------------------------------------------------------------------
@@ -484,46 +481,24 @@ def _certificates(f: _CaseFrame) -> Tuple[LanglandsDatum, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Steps and the runner
+# Steps
 # ---------------------------------------------------------------------------
 
 class _Refuted(Exception):
     """A check found its claim false; the message is the step's detail."""
 
 
-class _Check(NamedTuple):
-    """A step decided here: ``run()`` returns the detail of the passed step
-    or raises ``_Refuted``.  With a citation, the passed step is an AXIOM
-    whose precondition was checked here."""
-
-    label: str
-    run: Callable[[], str]
-    citation: Optional[str] = None
-
-
-def _run_steps(
-    items: Iterable, stop_at_failure: bool = False
-) -> Tuple[List[CertStep], bool]:
-    """Record ``items`` in order -- a ``CertStep`` as it is, a ``_Check`` by
-    running it -- and whether no check was refuted.  With
-    ``stop_at_failure`` the first refutation ends the list."""
-    steps: List[CertStep] = []
-    ok = True
-    for item in items:
-        if isinstance(item, CertStep):
-            steps.append(item)
-            continue
-        try:
-            detail = item.run()
-        except _Refuted as exc:
-            steps.append(CertStep(item.label, FAILED, str(exc)))
-            ok = False
-            if stop_at_failure:
-                break
-            continue
-        status = AXIOM if item.citation else VERIFIED
-        steps.append(CertStep(item.label, status, detail, item.citation))
-    return steps, ok
+def _check(
+    label: str, fn: Callable[..., str], *args, citation: Optional[str] = None
+) -> CertStep:
+    """The step of the check ``fn(*args)``: VERIFIED with its detail, AXIOM
+    with ``citation`` (a precondition checked here), FAILED with the detail
+    of the ``_Refuted`` it raises."""
+    try:
+        detail = fn(*args)
+    except _Refuted as exc:
+        return CertStep(label, FAILED, str(exc))
+    return CertStep(label, AXIOM if citation else VERIFIED, detail, citation)
 
 
 # ---------------------------------------------------------------------------
@@ -729,18 +704,13 @@ def _check_hd_identity(f: _CaseFrame) -> str:
     )
 
 
-def _hd_identity(f: _CaseFrame) -> _Check:
-    return _Check("derivative identification", lambda: _check_hd_identity(f))
-
-
 def verify_hd_identity(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertStep:
     """The derivative identification step of a case-B datum, on its own."""
-    tag = classify(d)
-    if tag != CaseTag.CASE_B:
+    if classify(d) != CaseTag.CASE_B:
         raise UnsupportedDatumError("derivative identification is for the "
                                     "singleton-bottom case")
-    (step,), _ok = _run_steps([_hd_identity(_frame(d, tag))])
-    return step
+    _validate_line(d, ctx)
+    return _check("derivative identification", _check_hd_identity, _frame(d))
 
 
 def _check_distinct(certs: Sequence[LanglandsDatum]) -> str:
@@ -799,7 +769,7 @@ def _length_steps(f: _CaseFrame, certs: Tuple[LanglandsDatum, ...]):
             citation="[T-CJM] Prop. 4.2",
         )
     else:
-        yield _hd_identity(f)
+        yield _check("derivative identification", _check_hd_identity, f)
         yield CertStep(
             "derivative transport",
             AXIOM,
@@ -809,9 +779,7 @@ def _length_steps(f: _CaseFrame, certs: Tuple[LanglandsDatum, ...]):
             "in the witness product",
             citation="[Z] §8",
         )
-    yield _Check(
-        "exponent-dominance exclusion", lambda: _check_exponent_sum_exclusion(f)
-    )
+    yield _check("exponent-dominance exclusion", _check_exponent_sum_exclusion, f)
     yield CertStep(
         "square-integrable split",
         AXIOM,
@@ -827,13 +795,11 @@ def _length_steps(f: _CaseFrame, certs: Tuple[LanglandsDatum, ...]):
         "product with the witness",
         citation="[T-CJM] Prop. 5.3",
     )
-    yield _Check("top-merge exclusion", lambda: _check_top_merge_exclusion(f))
+    yield _check("top-merge exclusion", _check_top_merge_exclusion, f)
     if f.tag == CaseTag.CASE_B:
-        yield _Check(
-            "down-merge exclusion", lambda: _check_second_merge_exclusion(f)
-        )
-    yield _Check("double-point exclusion", lambda: _check_double_point_exclusion(f))
-    yield _Check("distinctness", lambda: _check_distinct(certs))
+        yield _check("down-merge exclusion", _check_second_merge_exclusion, f)
+    yield _check("double-point exclusion", _check_double_point_exclusion, f)
+    yield _check("distinctness", _check_distinct, certs)
 
 
 def check_length_ge5(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertReport:
@@ -849,13 +815,11 @@ def _mult_steps(f: _CaseFrame, unit: int):
     """The steps bounding the Jacquet multiplicity by 4, in report order,
     given the (witness, unit) coefficient ``unit``; each check reads what
     the ones before it established."""
-    yield _Check("unit pairing", lambda: _check_unit_pairing(unit))
+    yield _check("unit pairing", _check_unit_pairing, unit)
     single, multi, odd, _doubled = _witness_terms(f.sym, f.d.alpha.num2)
-    yield _Check("candidate enumeration", lambda: _check_candidates(f, single, odd))
+    yield _check("candidate enumeration", _check_candidates, f, single, odd)
     if multi and f.tag == CaseTag.CASE_A:
-        yield _Check(
-            "multi-point exclusion", lambda: _check_multi_need_case_a(f, multi)
-        )
+        yield _check("multi-point exclusion", _check_multi_need_case_a, f, multi)
     elif multi:
         yield CertStep(
             "tail restriction bound",
@@ -866,10 +830,10 @@ def _mult_steps(f: _CaseFrame, unit: int):
             "restriction's left factors",
             citation="[HTd] Lemma 3.1",
         )
-        yield _Check(
-            "multi-point exclusion", lambda: _check_tail_left_factors(f), "[Z] §9"
+        yield _check(
+            "multi-point exclusion", _check_tail_left_factors, f, citation="[Z] §9"
         )
-    yield _Check("regularity", lambda: _check_regularity(single))
+    yield _check("regularity", _check_regularity, single)
     yield CertStep(
         "multiplicity bound",
         VERIFIED,
@@ -1007,7 +971,7 @@ def _run_check(
             f"{tag.value} is one of the two excluded extreme subquotients"
         )
     _validate_line(d, ctx)
-    f = _partner_frame(d) if tag == CaseTag.CASE_C else _frame(d, tag)
+    f = _frame(d)
     unit = twisted_comult(f.witness, ctx).terms[(ms(f.sym), EMPTY_MS)]
     inner = _report(f.d, want_length, want_mult, unit)
     if tag != CaseTag.CASE_C:
@@ -1021,7 +985,7 @@ def _run_check(
     return CertReport(
         CaseTag.CASE_C,
         d,
-        zeta_key(ms(f.sym)),
+        witness(d, ctx),
         tuple(LanglandsDatum(c.gl, c.temp, True) for c in inner.certificates),
         (partner, _TRANSPORT) + tuple(
             CertStep("dual·" + s.label, s.status, s.detail, s.citation)
@@ -1042,17 +1006,18 @@ def _report(
     has (witness, unit) coefficient ``unit``.  Memoized on every value it
     reads, so a case-C datum transports the report its partner already
     made; the caller validates the line first."""
-    f = _frame(d, classify(d))
-    checks: List = [_Check("witness window", lambda: _check_witness_window(f))]
+    f = _frame(d)
+    steps = [_check("witness window", _check_witness_window, f)]
     certs: Tuple[LanglandsDatum, ...] = ()
     if want_length:
         certs = _certificates(f)
-        checks.extend(_length_steps(f, certs))
-    steps, ok = _run_steps(checks)
+        steps.extend(_length_steps(f, certs))
     if want_mult:
-        mult_steps, mult_ok = _run_steps(_mult_steps(f, unit), stop_at_failure=True)
-        steps += mult_steps
-        ok = ok and mult_ok
+        for step in _mult_steps(f, unit):
+            steps.append(step)
+            if step.status == FAILED:
+                break
+    ok = all(s.status != FAILED for s in steps)
     if want_length and want_mult and ok:
         steps.append(
             CertStep(

@@ -614,7 +614,7 @@ class TestHighestDerivativeFastPath:
             for d in enumerate_subquotients(alpha, n):
                 if classify(d) is not CaseTag.CASE_B:
                     continue
-                f = subquotients._frame(d, CaseTag.CASE_B)
+                f = subquotients._frame(d)
                 x = zeta_key(ms(f.sym) + f.full)
                 assert highest_derivative(x) == _highest_derivative_full(x), d
                 checked += 1

@@ -36,7 +36,6 @@ from cuspline.subquotients import (
     _frame,
     _key_supp,
     _left_factors,
-    _partner_frame,
     _report,
     _supp,
     _witness_terms,
@@ -332,7 +331,6 @@ class TestSupportCounting:
         m = random_multisegment(random.Random(seed), max_segments=5, max_length=4)
         slow = Counter({x.num2: k for (_line, x), k in m.support().items()})
         assert _supp(*m) == slow
-        assert _supp(*m, None) == slow
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -368,8 +366,7 @@ def _eligible_data():
 def _eligible_frames():
     """The frame of every eligible datum (its partner's in case C)."""
     for d in _eligible_data():
-        tag = classify(d)
-        yield _partner_frame(d) if tag is CaseTag.CASE_C else _frame(d, tag)
+        yield _frame(d)
 
 
 class TestPerKeyMemos:
@@ -575,6 +572,89 @@ class TestContextValidation:
         ctx = Context(lines={"rho": Line("rho", selfdual=False)})
         with pytest.raises(LineError):
             check_prop41(CASE_A_1, ctx)
+
+    @pytest.mark.parametrize("ctx", [
+        Context(lines={"rho": Line("rho", selfdual=False)}),
+        Context(lines={"rho": Line("rho", selfdual=True, alpha=hi(1))}),
+    ], ids=["non-selfdual", "alpha-mismatch"])
+    def test_witness_and_hd_identity_check_the_line(self, ctx):
+        for d in (CASE_A_1, CASE_B_1, CASE_C_1):
+            with pytest.raises(LineError):
+                witness(d, ctx)
+        with pytest.raises(LineError):
+            verify_hd_identity(CASE_B_1, ctx)
+        good = Context(lines={"rho": Line("rho", selfdual=True, alpha=hi("1/2"))})
+        assert witness(CASE_C_1, good) == witness(CASE_C_1)
+        assert verify_hd_identity(CASE_B_1, good) == verify_hd_identity(CASE_B_1)
+
+
+def _refute(*_args):
+    raise subquotients._Refuted("refuted here")
+
+
+class TestStepProtocol:
+    """``_check`` makes each step, and the report stops at the first failed
+    multiplicity step only: the step generators are lazy, so no check after
+    it runs."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_caches()
+        yield
+        clear_caches()
+
+    def test_check_statuses(self):
+        def passing(x, y):
+            return f"{x} and {y}"
+
+        assert subquotients._check("s", passing, 1, 2) == CertStep(
+            "s", VERIFIED, "1 and 2"
+        )
+        assert subquotients._check("s", passing, 1, 2, citation="[X]") == CertStep(
+            "s", AXIOM, "1 and 2", "[X]"
+        )
+        for citation in (None, "[X]"):
+            step = subquotients._check("s", _refute, 1, citation=citation)
+            assert step == CertStep("s", FAILED, "refuted here")
+            assert step.citation is None
+
+    @pytest.mark.parametrize("d", [CASE_A_1, CASE_B_RICH, aubert_pair(CASE_B_RICH)])
+    def test_refuted_unit_pairing_runs_no_later_check(self, monkeypatch, d):
+        calls = Counter()
+        for name in (
+            "_check_candidates",
+            "_check_multi_need_case_a",
+            "_check_tail_left_factors",
+            "_check_regularity",
+        ):
+            def counting(*args, _name=name, _fn=getattr(subquotients, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(subquotients, name, counting)
+        assert check_prop41(d).ok and calls["_check_regularity"] == 1
+        clear_caches()
+        calls.clear()
+        monkeypatch.setattr(subquotients, "_check_unit_pairing", _refute)
+        rep = check_prop41(d)
+        assert not calls, calls
+        assert rep.steps[-1].label.endswith("unit pairing")
+        assert rep.steps[-1].status == FAILED
+        assert not rep.ok and rep.length_bound is None and rep.mult_bound is None
+
+    @pytest.mark.parametrize("d", [CASE_A_1, CASE_B_RICH, aubert_pair(CASE_B_RICH)])
+    def test_refuted_length_step_runs_every_later_step(self, monkeypatch, d):
+        want = check_prop41(d)
+        clear_caches()
+        monkeypatch.setattr(subquotients, "_check_exponent_sum_exclusion", _refute)
+        rep = check_prop41(d)
+        failed = [s for s in rep.steps if s.status == FAILED]
+        assert [s.label.rsplit("·")[-1] for s in failed] == [
+            "exponent-dominance exclusion"
+        ]
+        assert [s.label for s in rep.steps] == [s.label for s in want.steps[:-1]]
+        assert rep.steps[-1].label.endswith("multiplicity bound")
+        assert not rep.ok and rep.length_bound is None and rep.mult_bound is None
 
 
 class TestReportSerialization:
