@@ -305,16 +305,19 @@ def module_comult_base(base: BaseSymbol) -> TensorClass:
 
 
 def module_comult(y: ClassElt, ctx: Context = DEFAULT_CONTEXT) -> TensorClass:
-    """mu*(GL part |x| base) = (twisted coproduct of GL part) acting on mu*(base)."""
-
-    def restrict(sym: InducedSymbol) -> FormalSum:
-        tw = twisted_comult(delta_key(sym.gl), ctx)
-        return tw.terms.combine(
-            module_comult_base(sym.base).terms,
-            lambda xy, bc: (xy[0] + bc[0], InducedSymbol(xy[1] + bc[1].gl, bc[1].base)),
-        )
-
-    return TensorClass(y.terms.bind(restrict))
+    """mu*(GL part |x| base) = (twisted coproduct of GL part) acting on mu*(base):
+    a twisted term (l, r) and a base term (bl, br), whose ``br`` has the empty
+    GL part, give the term (l + bl, r |x| br.base)."""
+    out: dict = {}
+    get = out.get
+    for sym, c in y.terms.coeffs.items():
+        tw = twisted_comult(delta_key(sym.gl), ctx).terms.coeffs.items()
+        for (bl, br), bc in module_comult_base(sym.base).terms.coeffs.items():
+            base, empty, cb = br.base, bl is EMPTY_MS, c * bc
+            for (l, r), tc in tw:
+                key = (l if empty else l + bl, InducedSymbol(r, base))
+                out[key] = get(key, 0) + cb * tc
+    return TensorClass(FormalSum._clean(out))
 
 
 def gl_jacquet(y: ClassElt, ctx: Context = DEFAULT_CONTEXT) -> GLElt:

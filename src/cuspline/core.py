@@ -5,13 +5,14 @@ selfduality flag and (optionally) the point of reducibility alpha are tracked.
 A *segment* [b, e] on a line is a nonempty interval of half-integer exponents
 with integer length e - b + 1.  The empty segment is represented by ``None``
 (a marker, never a value stored inside multisegments).  A *multisegment* is a
-finite multiset of segments kept in a canonical order.  Multisegments are
-hash-consed: equal values are one object, found through a weak intern table
-(``hash_cons``, which the module-side symbols of ``classical`` share), so the
-restriction code's dict keys hash and compare by identity, in C, and a table
-never keeps a dead value alive.  A ``FormalSum`` is a finitely
-supported Z-linear combination of hashable keys with no explicit zero
-coefficients.  ``LinearElt`` is the one element type built on it: a
+finite multiset of segments kept in a canonical order.  A segment's value
+has a small int id, local to the process (a segment pickles by its fields).
+Multisegments are hash-consed: equal values are one object, found through a
+weak intern table (``hash_cons``, which the module-side symbols of
+``classical`` share) keyed on the sorted segment ids, so the restriction
+code's dict keys hash and compare by identity, in C, and a table never keeps
+a dead value alive.  A ``FormalSum`` is a finitely supported Z-linear
+combination of hashable keys with no explicit zero coefficients.  ``LinearElt`` is the one element type built on it: a
 ``FormalSum`` tagged with its rigid basis, whose subclasses are the ring,
 ring-tensor, module and module-tensor elements.
 """
@@ -119,26 +120,41 @@ def _forget(ref: _Ref, _remove=_remove_dead_weakref) -> None:
     _remove(ref.table, ref.key)
 
 
+_new = object.__new__
+
+
+def _enter(table: Dict[tuple, _Ref], key: tuple, out) -> None:
+    """Enter the new object ``out`` in ``table`` under ``key``; its entry
+    leaves when it dies."""
+    ref = _Ref(out, _forget)
+    ref.table, ref.key = table, key
+    table[key] = ref
+
+
 def hash_cons(table: Dict[tuple, _Ref], key: tuple, cls: type, **fields):
     """The one live ``cls`` object held in ``table`` under ``key`` (which
     fixes its value), made with the attribute values ``fields`` and entered
-    on a miss; its entry leaves when it dies.  Callers validate first, so a
-    rejected value never enters a table."""
+    on a miss.  Callers validate first, so a rejected value never enters a
+    table."""
     ref = table.get(key)
     out = ref and ref()
     if out is None:
-        out = object.__new__(cls)
+        out = _new(cls)
         for name, value in fields.items():
             object.__setattr__(out, name, value)
-        ref = _Ref(out, _forget)
-        ref.table, ref.key = table, key
-        table[key] = ref
+        _enter(table, key, out)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Segments
 # ---------------------------------------------------------------------------
+
+# segment sort key -> the segment's int id: grows with the distinct segment
+# values seen, and nothing empties it (not ``clear_caches``), so an id keeps
+# naming one value
+_SEGMENT_IDS: Dict[tuple, int] = {}
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -151,10 +167,20 @@ class Segment:
     def __post_init__(self):
         if not isinstance(self.b, HalfInt) or not isinstance(self.e, HalfInt):
             raise TypeError("segment endpoints must be HalfInt")
-        if self.e < self.b:
+        b2, e2 = self.b.num2, self.e.num2
+        if e2 < b2:
             raise EmptySegmentError(f"empty segment literal [{self.b},{self.e}]")
-        if (self.e.num2 - self.b.num2) % 2:
+        if (e2 - b2) % 2:
             raise NonIntegralLengthError(f"[{self.b},{self.e}] has non-integer length")
+        # canonical multisegment order: descending center, then descending
+        # length, then line id; the key fixes the segment, and so does its id
+        key = (-((b2 + e2) // 2), (b2 - e2) // 2 - 1, self.line)
+        fields = self.__dict__
+        fields["_sort_key"] = key
+        fields["_id"] = _SEGMENT_IDS.setdefault(key, len(_SEGMENT_IDS))
+
+    def __reduce__(self):  # by the fields: an id is local to its process
+        return (Segment, (self.b, self.e, self.line))
 
     # -- basic invariants -------------------------------------------------
     @property
@@ -173,19 +199,14 @@ class Segment:
 
     # -- equality / hashing -------------------------------------------------
     # Hand-written: the dataclass-generated pair builds tuples and calls the
-    # HalfInt methods, and segments are compared millions of times in
-    # multisegment keys.
+    # HalfInt methods.  The id and the sort key each fix the value.
     def __eq__(self, other) -> bool:
         if other.__class__ is not Segment:
             return NotImplemented
-        return (
-            self.b.num2 == other.b.num2
-            and self.e.num2 == other.e.num2
-            and self.line == other.line
-        )
+        return self._id == other._id
 
     def __hash__(self) -> int:
-        return hash((self.b.num2, self.e.num2, self.line))
+        return hash(self._sort_key)
 
     # -- derived segments (None encodes the empty marker) -----------------
     def trimmed_top(self) -> Optional["Segment"]:
@@ -200,13 +221,7 @@ class Segment:
 
     # -- ordering / presentation ------------------------------------------
     def sort_key(self) -> tuple:
-        # canonical multisegment order: descending center, then descending
-        # length, then line id
-        key = self.__dict__.get("_sort_key")
-        if key is None:  # cached: sorting dominates multisegment assembly
-            key = (-self.center.num2, -self.length, self.line)
-            self.__dict__["_sort_key"] = key
-        return key
+        return self._sort_key
 
     def __str__(self) -> str:
         return f"[{self.b},{self.e}]@{self.line}"
@@ -251,10 +266,11 @@ class Multisegment:
     """A finite multiset of segments in canonical order (immutable, hash-consed).
 
     Equal multisegments are one object: every constructor returns the value
-    held in a ``hash_cons`` table, keyed on the tuple of the segments' sort
-    keys (each fixes its segment).  ``==`` and ``hash`` are therefore the
+    held in a ``hash_cons`` table, keyed on the sorted tuple of the segments'
+    int ids (each fixes its segment).  ``==`` and ``hash`` are therefore the
     C-level identity ones, so the dicts of the restriction code hash and
-    compare their keys without calling Python.
+    compare their keys without calling Python, and a sum sorts and hashes
+    plain ints.
     """
 
     __slots__ = ("segments", "_sig", "__weakref__")
@@ -267,8 +283,8 @@ class Multisegment:
             if not isinstance(s, Segment):
                 raise TypeError(f"not a segment: {s!r}")
             segs.append(s)
-        segs.sort(key=Segment.sort_key)
-        sig = tuple(s.sort_key() for s in segs)
+        segs.sort(key=_SORT_KEY)
+        sig = tuple(sorted(map(_ID, segs)))
         return hash_cons(_INTERNED, sig, Multisegment, segments=tuple(segs), _sig=sig)
 
     def __setattr__(self, *a):  # immutable
@@ -293,8 +309,10 @@ class Multisegment:
         ref = _INTERNED.get(sig)
         out = ref and ref()
         if out is None:  # a new value: both runs are sorted, Timsort merges them
-            merged = sorted(self.segments + other.segments, key=Segment.sort_key)
-            out = hash_cons(_INTERNED, sig, Multisegment, segments=tuple(merged), _sig=sig)
+            out = _new(Multisegment)
+            _SET_SEGMENTS(out, tuple(sorted(self.segments + other.segments, key=_SORT_KEY)))
+            _SET_SIG(out, sig)
+            _enter(_INTERNED, sig, out)
         return out
 
     def remove(self, s: Segment) -> "Multisegment":
@@ -303,7 +321,8 @@ class Multisegment:
             i = self.segments.index(s)
         except ValueError:
             raise KeyError(f"segment {s} not in {self}")
-        sig = self._sig[:i] + self._sig[i + 1:]
+        j = self._sig.index(s._id)
+        sig = self._sig[:j] + self._sig[j + 1:]
         segments = self.segments[:i] + self.segments[i + 1:]
         return hash_cons(_INTERNED, sig, Multisegment, segments=segments, _sig=sig)
 
@@ -332,7 +351,7 @@ class Multisegment:
 
     # -- ordering / presentation ------------------------------------------
     def sort_key(self) -> tuple:
-        return self._sig  # the segments' sort keys, in order
+        return tuple(map(_SORT_KEY, self.segments))
 
     def __str__(self) -> str:
         if not self.segments:
@@ -346,8 +365,12 @@ class Multisegment:
         return {"segments": [s.to_jsonable() for s in self.segments]}
 
 
-_INTERNED: Dict[tuple, _Ref] = {}  # the multisegments, by their sort keys
+_INTERNED: Dict[tuple, _Ref] = {}  # the multisegments, by their sorted segment ids
 _LINE = operator.attrgetter("line")
+_SORT_KEY = operator.attrgetter("_sort_key")
+_ID = operator.attrgetter("_id")
+_SET_SEGMENTS = Multisegment.segments.__set__
+_SET_SIG = Multisegment._sig.__set__
 
 
 EMPTY_MS = Multisegment()
@@ -395,7 +418,7 @@ class FormalSum(Generic[K]):
     @staticmethod
     def _raw(coeffs: Dict[K, int]) -> "FormalSum[K]":
         """Trusted constructor: int coefficients, zeros already stripped."""
-        out = object.__new__(FormalSum)
+        out = _new(FormalSum)
         _SET_COEFFS(out, coeffs)
         return out
 
@@ -604,7 +627,7 @@ class LinearElt:
 
 def _linear_elt(cls, basis: Optional[str], terms: FormalSum) -> LinearElt:
     """Trusted constructor of any element kind (also the unpickler)."""
-    out = object.__new__(cls)
+    out = _new(cls)
     _SET_BASIS(out, basis)
     _SET_TERMS(out, terms)
     return out

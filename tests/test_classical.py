@@ -44,7 +44,7 @@ from cuspline.classical import (
     mult_in,
     rtimes,
 )
-from cuspline.glhopf import comult, delta_key, zeta_key
+from cuspline.glhopf import comult, delta_key, twisted_comult, zeta_key
 from cuspline.halfint import HalfInt, hi
 from cuspline.jantzen import transport_class
 
@@ -189,8 +189,6 @@ class TestModuleComult:
                 assert l.size + r.degree == sym.degree
 
     def test_factors_through_induction(self):
-        from cuspline.glhopf import twisted_comult
-
         m = ms(seg(0, 0))
         y = induced(ms(seg("1/2", "1/2")), StGenSymbol("rho", hi("1/2"), 1))
         lhs = module_comult(rtimes(delta_key(m), y))
@@ -222,6 +220,81 @@ class TestModuleComult:
             for (a, r2), c2 in module_comult(ClassElt.key(r)).terms.coeffs.items():
                 rhs = rhs + FormalSum.lift((x, a, r2), c * c2)
         assert lhs == rhs
+
+
+def module_comult_by_combine(y: ClassElt) -> TensorClass:
+    """The earlier assembly of ``module_comult``, kept as its oracle: one
+    bilinear ``FormalSum.combine`` per induced symbol, with the GL part of
+    each base term's right symbol summed in, and ``bind`` over the symbols."""
+
+    def restrict(sym: InducedSymbol) -> FormalSum:
+        tw = twisted_comult(delta_key(sym.gl))
+        return tw.terms.combine(
+            module_comult_base(sym.base).terms,
+            lambda xy, bc: (xy[0] + bc[0], InducedSymbol(xy[1] + bc[1].gl, bc[1].base)),
+        )
+
+    return TensorClass(y.terms.bind(restrict))
+
+
+@st.composite
+def base_symbols(draw):
+    """A cusp, StGen or CoStGen base with n <= 3 on one of two lines."""
+    kind = draw(st.sampled_from([None, StGenSymbol, CoStGenSymbol]))
+    if kind is None:
+        return CuspSymbol()
+    line = draw(st.sampled_from(["rho", "tau"]))
+    return kind(line, HalfInt(draw(st.integers(-4, 4))), draw(st.integers(0, 3)))
+
+
+@st.composite
+def module_elements(draw):
+    """One to four induced symbols with signed coefficients."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        gl = sampling.random_multisegment(rng, ("rho", "tau"), 2, window=2, max_length=2)
+        sym = InducedSymbol(gl, draw(base_symbols()))
+        terms[sym] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return ClassElt(FormalSum(terms))
+
+
+class TestModuleComultAssembly:
+    """``module_comult``'s nested loops against the ``combine`` oracle."""
+
+    @given(module_elements())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_combine_oracle(self, y):
+        got = module_comult(y)
+        assert got == module_comult_by_combine(y)
+        assert 0 not in got.terms.coeffs.values()
+
+    def test_terms_of_two_symbols_cancel(self):
+        # both symbols restrict to ([1/2], sigma) with coefficient 1: their
+        # difference keeps no such term, not even with coefficient 0
+        a = hi("1/2")
+        cusp_side = InducedSymbol(ms(seg(a, a)), CuspSymbol())
+        st_side = InducedSymbol(EMPTY_MS, StGenSymbol("rho", a, 0))
+        shared = (ms(seg(a, a)), CUSP)
+        for sym in (cusp_side, st_side):
+            assert module_comult(ClassElt.key(sym)).terms.coeffs[shared] == 1
+        y = ClassElt(FormalSum({cusp_side: 1, st_side: -1}))
+        got = module_comult(y)
+        assert got == module_comult_by_combine(y)
+        assert shared not in got.terms.coeffs and len(got.terms) == 3
+
+    def test_right_symbols_of_the_bases_have_the_empty_gl_part(self):
+        # the loop pairs a twisted right key with the base symbol alone
+        bases = [CuspSymbol(), CuspSymbol("sigma~")] + [
+            cls(line, hi(a), n)
+            for cls in (StGenSymbol, CoStGenSymbol)
+            for line in ("rho", "tau")
+            for a in ("-3/2", 0, "1/2", 2)
+            for n in range(4)
+        ]
+        for base in bases:
+            for _, right in module_comult_base(base).terms.coeffs:
+                assert right.gl is EMPTY_MS
 
 
 class TestGLJacquet:

@@ -3,9 +3,13 @@ import copy
 import functools
 import gc
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,10 +217,14 @@ def triples(m: Multisegment) -> Counter:
 
 
 def interned_on(prefix: str) -> int:
-    """Entries of the intern table with a segment on a line named prefix*."""
-    return sum(
-        any(key[2].startswith(prefix) for key in sig) for sig in core._INTERNED
-    )
+    """Entries of the intern table whose live value has a segment on a line
+    named prefix*, plus every entry whose value is dead (a leak, whatever
+    its lines).  Reads the values, not the layout of the keys."""
+    count = 0
+    for ref in list(core._INTERNED.values()):
+        m = ref()
+        count += m is None or any(s.line.startswith(prefix) for s in m)
+    return count
 
 
 class TestInterning:
@@ -293,6 +301,81 @@ class TestInterning:
         del alive
         gc.collect()
         assert interned_on("churn-c") == 0
+
+
+class TestIntSignatures:
+    """The intern key is the sorted tuple of the segments' int ids and the
+    display order comes from their sort keys: each route against a rebuild
+    through the constructor, or against plain ints."""
+
+    @given(sampled(), sampled())
+    @settings(max_examples=200, deadline=None)
+    def test_sum_is_the_rebuilt_value(self, a, b):
+        got = a + b
+        assert got is Multisegment(list(a) + list(b))
+        assert got is Multisegment([fresh(s) for s in reversed(list(a) + list(b))])
+        assert got.segments == tuple(sorted(list(a) + list(b), key=Segment.sort_key))
+
+    @given(sampled())
+    @settings(max_examples=200, deadline=None)
+    def test_remove_is_the_rebuild_without_the_segment(self, m):
+        for i, s in enumerate(m.segments):
+            rest = m.segments[:i] + m.segments[i + 1:]
+            got = m.remove(fresh(s))
+            assert got is Multisegment([fresh(t) for t in reversed(rest)])
+            assert got.segments == rest
+
+    @given(sampled())
+    @settings(max_examples=200, deadline=None)
+    def test_sort_key_is_read_from_plain_ints(self, m):
+        want = tuple(
+            (-(s.b.num2 + s.e.num2) // 2, -((s.e.num2 - s.b.num2) // 2 + 1), s.line)
+            for s in m
+        )
+        assert m.sort_key() == want
+        assert list(want) == sorted(want)
+
+
+# Run in a second interpreter: builds the "xp-" segments in an order the test
+# never uses, then pickles a segment, a multisegment and an induced symbol.
+CHILD = """
+import pickle, sys
+from cuspline.classical import CuspSymbol, InducedSymbol
+from cuspline.core import ms, seg
+made = [seg(b, b + j, line) for line in ("xp-b", "xp-a")
+        for b in range(3, -1, -1) for j in range(2, -1, -1)]
+m = ms(seg(3, 5, "xp-b"), seg(1, 1, "xp-a"), seg(1, 1, "xp-a"), seg(0, 2, "xp-a"))
+sys.stdout.buffer.write(pickle.dumps((made, m, InducedSymbol(m, CuspSymbol("xp")))))
+"""
+
+
+class TestCrossProcessIdentity:
+    def test_values_pickled_in_another_process_are_the_local_ones(self):
+        from cuspline.classical import CuspSymbol, InducedSymbol
+
+        local = [
+            seg(b, b + j, line) for line in ("xp-a", "xp-b") for b in range(4) for j in range(3)
+        ]
+        src = str(Path(core.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        out = subprocess.run(
+            [sys.executable, "-c", CHILD], env=env, capture_output=True, check=True, timeout=120
+        ).stdout
+        made, m, sym = pickle.loads(out)
+        assert len(made) == len(local)
+        for s in made:
+            [twin] = [t for t in local if (t.b, t.e, t.line) == (s.b, s.e, s.line)]
+            assert hash(s) == hash(twin) and s.sort_key() == twin.sort_key()
+            for t in local:
+                same = t is twin
+                assert (s == t) is same and (ms(s) is ms(t)) is same
+        want = ms(seg(0, 2, "xp-a"), seg(1, 1, "xp-a"), seg(3, 5, "xp-b"), seg(1, 1, "xp-a"))
+        assert m is want
+        assert all(m is not ms(*local[:k]) for k in range(len(local) + 1))
+        assert sym is InducedSymbol(want, CuspSymbol("xp"))
+        assert sym is not InducedSymbol(want.remove(seg(1, 1, "xp-a")), CuspSymbol("xp"))
 
 
 class TestFormalSum:

@@ -245,6 +245,24 @@ class TestComultAgainstSlowRoutes:
             GLElt.key(basis, ms(seg(0, 1)))
 
 
+class TestSingleKeyRestrictions:
+    """``comult`` and ``twisted_comult`` test for one key with coefficient 1
+    before the linear extension."""
+
+    @given(key_with_repeats(), st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=100, deadline=None)
+    def test_single_key_restrictions_match_the_linear_route(self, m, c):
+        # a coefficient-1 key shares the memoized tensor; any other
+        # coefficient takes the linear extension
+        for basis, make in ((DELTA, delta_key), (ZETA, zeta_key)):
+            assert comult(make(m)) is comult_key(m, basis)
+            assert comult(make(m, c)) == c * comult_key(m, basis)
+            assert twisted_comult(make(m, c)) == c * twisted_comult(make(m))
+        tw = twisted_comult(delta_key(m))
+        assert tw == _segmentwise_tensor(m, DELTA, twisted_comult_segment)
+        assert twisted_comult(delta_key(m) + delta_key(m)) == 2 * tw
+
+
 class TestContragredient:
     def test_involution(self):
         x = delta_key(ms(seg("-1/2", "3/2"), seg(0, 0)))
