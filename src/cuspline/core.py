@@ -418,7 +418,7 @@ class FormalSum(Generic[K]):
     @staticmethod
     def _raw(coeffs: Dict[K, int]) -> "FormalSum[K]":
         """Trusted constructor: int coefficients, zeros already stripped."""
-        out = _new(FormalSum)
+        out = object.__new__(FormalSum)
         _SET_COEFFS(out, coeffs)
         return out
 
@@ -627,7 +627,7 @@ class LinearElt:
 
 def _linear_elt(cls, basis: Optional[str], terms: FormalSum) -> LinearElt:
     """Trusted constructor of any element kind (also the unpickler)."""
-    out = _new(cls)
+    out = object.__new__(cls)
     _SET_BASIS(out, basis)
     _SET_TERMS(out, terms)
     return out

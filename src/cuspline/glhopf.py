@@ -46,11 +46,7 @@ from .core import (
     MixedBasisError,
     Multisegment,
     Segment,
-    _SET_BASIS,
-    _SET_COEFFS,
-    _SET_TERMS,
     _linear_elt,
-    _new,
     ms,
 )
 from .halfint import HalfInt
@@ -87,26 +83,12 @@ class GLElt(LinearElt):
         return {n: GLElt(self.basis, FormalSum(d)) for n, d in sorted(parts.items())}
 
 
-def _one_key(basis: str, m: Multisegment, coeff) -> GLElt:
-    """``coeff`` times one key.  An exact nonzero int is built in one step;
-    anything else takes ``FormalSum.lift``, which gives zero for 0 and
-    refuses every other non-int."""
-    if coeff.__class__ is not int or not coeff:
-        return _linear_elt(GLElt, basis, FormalSum.lift(m, coeff))
-    terms = _new(FormalSum)
-    _SET_COEFFS(terms, {m: coeff})
-    out = _new(GLElt)
-    _SET_BASIS(out, basis)
-    _SET_TERMS(out, terms)
-    return out
-
-
 def delta_key(m: Multisegment, coeff: int = 1) -> GLElt:
-    return _one_key(DELTA, m, coeff)
+    return _linear_elt(GLElt, DELTA, FormalSum.lift(m, coeff))
 
 
 def zeta_key(m: Multisegment, coeff: int = 1) -> GLElt:
-    return _one_key(ZETA, m, coeff)
+    return _linear_elt(GLElt, ZETA, FormalSum.lift(m, coeff))
 
 
 class TensorGL(LinearElt):
@@ -196,17 +178,18 @@ def comult_key(m: Multisegment, basis: str) -> TensorGL:
 def _linear_extension(
     x: GLElt, f: Callable[[Multisegment, str], TensorGL]
 ) -> TensorGL:
-    """Linear extension of a key -> tensor map.  Its callers first test for
-    one key with coefficient 1, whose value (immutable) they share."""
+    """Linear extension of a key -> tensor map."""
+    coeffs = x.terms.coeffs
+    if len(coeffs) == 1:
+        [(key, c)] = coeffs.items()
+        if c == 1:  # tensors are immutable: share the key's value
+            return f(key, x.basis)
     basis = x.basis
     return TensorGL(basis, x.terms.bind(lambda key: f(key, basis).terms))
 
 
 def comult(x: GLElt) -> TensorGL:
     """The coproduct, extended multiplicatively to all keys and linearly."""
-    coeffs = x.terms.coeffs
-    if len(coeffs) == 1 and 1 in coeffs.values():
-        return comult_key(*coeffs, x.basis)
     return _linear_extension(x, comult_key)
 
 
@@ -272,9 +255,6 @@ def twisted_comult(x: GLElt, ctx: Context = DEFAULT_CONTEXT) -> TensorGL:
     cross-check on delta generators.
     """
     _require_selfdual_support(x, ctx)
-    coeffs = x.terms.coeffs
-    if len(coeffs) == 1 and 1 in coeffs.values():
-        return _segmentwise_tensor(*coeffs, x.basis, twisted_comult_segment)
     return _linear_extension(
         x, lambda m, basis: _segmentwise_tensor(m, basis, twisted_comult_segment)
     )

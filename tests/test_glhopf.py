@@ -246,8 +246,9 @@ class TestComultAgainstSlowRoutes:
 
 
 class TestSingleKeyRestrictions:
-    """``comult`` and ``twisted_comult`` test for one key with coefficient 1
-    before the linear extension."""
+    """On one key with coefficient 1, ``comult`` and ``twisted_comult``
+    return the key's tensor itself; any other element is extended
+    linearly."""
 
     @given(key_with_repeats(), st.integers(min_value=-3, max_value=3))
     @settings(max_examples=100, deadline=None)
