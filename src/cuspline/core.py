@@ -5,13 +5,13 @@ selfduality flag and (optionally) the point of reducibility alpha are tracked.
 A *segment* [b, e] on a line is a nonempty interval of half-integer exponents
 with integer length e - b + 1.  The empty segment is represented by ``None``
 (a marker, never a value stored inside multisegments).  A *multisegment* is a
-finite multiset of segments kept in a canonical order.  A segment's value
-has a small int id, local to the process (a segment pickles by its fields).
-Multisegments are hash-consed: equal values are one object, found through a
-weak intern table (``hash_cons``, which the module-side symbols of
-``classical`` share) keyed on the sorted segment ids, so the restriction
-code's dict keys hash and compare by identity, in C, and a table never keeps
-a dead value alive.  A ``FormalSum`` is a finitely supported Z-linear
+finite multiset of segments kept in a canonical order.  Both are
+hash-consed: segments in a table that nothing empties, each with a small
+int id local to the process (a segment pickles by its fields), and
+multisegments in a weak intern table (``hash_cons``, which the module-side
+symbols of ``classical`` share) keyed on the sorted segment ids.  So equal
+values are one object, dict keys hash and compare by identity, in C, and a
+weak table never keeps a dead value alive.  A ``FormalSum`` is a finitely supported Z-linear
 combination of hashable keys with no explicit zero coefficients.  ``LinearElt`` is the one element type built on it: a
 ``FormalSum`` tagged with its rigid basis, whose subclasses are the ring,
 ring-tensor, module and module-tensor elements.
@@ -150,34 +150,40 @@ def hash_cons(table: Dict[tuple, _Ref], key: tuple, cls: type, **fields):
 # Segments
 # ---------------------------------------------------------------------------
 
-# segment sort key -> the segment's int id: grows with the distinct segment
-# values seen, and nothing empties it (not ``clear_caches``), so an id keeps
+# (b.num2, e.num2, line) -> the one segment of that value: grows with the
+# distinct segment values seen, and nothing empties it (not ``clear_caches``),
+# so a live segment and a new equal one are one object and an id keeps
 # naming one value
-_SEGMENT_IDS: Dict[tuple, int] = {}
+_SEGMENTS: Dict[tuple, "Segment"] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Segment:
-    """A nonempty segment [b, e] of exponents on a line (b <= e, e - b integer)."""
+    """A nonempty segment [b, e] of exponents on a line (b <= e, e - b integer),
+    hash-consed: equal segments are one object, compared and hashed by identity."""
 
     b: HalfInt
     e: HalfInt
-    line: str = DEFAULT_LINE
+    line: str  # defaults in __new__, the one constructor
 
-    def __post_init__(self):
-        if not isinstance(self.b, HalfInt) or not isinstance(self.e, HalfInt):
+    def __new__(cls, b: HalfInt, e: HalfInt, line: str = DEFAULT_LINE):
+        if b.__class__ is not HalfInt or e.__class__ is not HalfInt:
             raise TypeError("segment endpoints must be HalfInt")
-        b2, e2 = self.b.num2, self.e.num2
-        if e2 < b2:
-            raise EmptySegmentError(f"empty segment literal [{self.b},{self.e}]")
-        if (e2 - b2) % 2:
-            raise NonIntegralLengthError(f"[{self.b},{self.e}] has non-integer length")
-        # canonical multisegment order: descending center, then descending
-        # length, then line id; the key fixes the segment, and so does its id
-        key = (-((b2 + e2) // 2), (b2 - e2) // 2 - 1, self.line)
-        fields = self.__dict__
-        fields["_sort_key"] = key
-        fields["_id"] = _SEGMENT_IDS.setdefault(key, len(_SEGMENT_IDS))
+        b2, e2 = b.num2, e.num2
+        out = _SEGMENTS.get((b2, e2, line))
+        if out is None:  # a new value: validate it, then enter it for good
+            if e2 < b2:
+                raise EmptySegmentError(f"empty segment literal [{b},{e}]")
+            if (e2 - b2) % 2:
+                raise NonIntegralLengthError(f"[{b},{e}] has non-integer length")
+            out = _new(cls)
+            # canonical multisegment order: descending center, then
+            # descending length, then line id; the key fixes the segment,
+            # and so does its id
+            out.__dict__.update(b=b, e=e, line=line, _id=len(_SEGMENTS),
+                                _sort_key=(-((b2 + e2) // 2), (b2 - e2) // 2 - 1, line))
+            _SEGMENTS[b2, e2, line] = out
+        return out
 
     def __reduce__(self):  # by the fields: an id is local to its process
         return (Segment, (self.b, self.e, self.line))
@@ -196,17 +202,6 @@ class Segment:
 
     def __contains__(self, x: HalfInt) -> bool:
         return self.b <= x <= self.e
-
-    # -- equality / hashing -------------------------------------------------
-    # Hand-written: the dataclass-generated pair builds tuples and calls the
-    # HalfInt methods.  The id and the sort key each fix the value.
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Segment:
-            return NotImplemented
-        return self._id == other._id
-
-    def __hash__(self) -> int:
-        return hash(self._sort_key)
 
     # -- derived segments (None encodes the empty marker) -----------------
     def trimmed_top(self) -> Optional["Segment"]:

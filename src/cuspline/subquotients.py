@@ -391,6 +391,10 @@ class _CaseFrame:
         """The selfdual product factor: the delta class of [-aa, aa]."""
         return delta_key(ms(self.sym))
 
+    def witness_for(self, tag: CaseTag) -> GLElt:
+        """The witness of a ``tag`` datum: in case C the zeta class of [-aa, aa]."""
+        return zeta_key(ms(self.sym)) if tag == CaseTag.CASE_C else self.witness
+
     @property
     def merged(self) -> Segment:
         """The pivot extended across the symmetric segment: [-aa, c]."""
@@ -460,8 +464,7 @@ def witness(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
             "the two extreme subquotients carry no counting witness"
         )
     _validate_line(d, ctx)
-    f = _frame(d)
-    return zeta_key(ms(f.sym)) if tag == CaseTag.CASE_C else f.witness
+    return _frame(d).witness_for(tag)
 
 
 # ---------------------------------------------------------------------------
@@ -985,7 +988,7 @@ def _run_check(
     return CertReport(
         CaseTag.CASE_C,
         d,
-        witness(d, ctx),
+        f.witness_for(tag),
         tuple(LanglandsDatum(c.gl, c.temp, True) for c in inner.certificates),
         (partner, _TRANSPORT) + tuple(
             CertStep("dual·" + s.label, s.status, s.detail, s.citation)

@@ -8,7 +8,9 @@ import pickle
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from cuspline import clear_caches, cli, core
 from cuspline.core import (
     EMPTY_MS,
+    DEFAULT_LINE,
     EmptySegmentError,
     FormalSum,
     Multisegment,
@@ -27,8 +30,9 @@ from cuspline.core import (
     seg_opt,
     linked_union,
 )
+from cuspline.dsl import evaluate
 from cuspline.halfint import HalfInt, hi
-from cuspline.sampling import random_multisegment
+from cuspline.sampling import random_multisegment, random_segment
 
 
 class TestHalfInt:
@@ -140,7 +144,7 @@ class TestSegment:
     def test_fresh_equal_instances_compare_and_hash_equal(self):
         a = seg("-1/2", "3/2", "tau")
         b = Segment(HalfInt(-1), HalfInt(3), "tau")
-        assert a is not b and a.b is not b.b
+        assert a is b
         assert a == b and not (a != b)
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
@@ -208,7 +212,7 @@ def sampled(draw, lines=LINES, **shape):
 
 
 def fresh(s: Segment) -> Segment:
-    """An equal segment sharing no object with ``s``."""
+    """``s`` rebuilt from new endpoint objects (hash-consed, so ``s`` itself)."""
     return Segment(HalfInt(s.b.num2), HalfInt(s.e.num2), str(s.line))
 
 
@@ -301,6 +305,100 @@ class TestInterning:
         del alive
         gc.collect()
         assert interned_on("churn-c") == 0
+
+
+@st.composite
+def sampled_segment(draw, lines=LINES):
+    """A segment from the package's sampler, seeded by hypothesis."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return random_segment(rng, rng.choice(lines))
+
+
+def made(b2: int, e2: int, line: str) -> Segment:
+    """The segment [b2/2, e2/2] on ``line``, from new endpoint objects."""
+    return Segment(HalfInt(b2), HalfInt(e2), line)
+
+
+class NumTwo:
+    """Carries a ``num2`` as a HalfInt does, but is not one."""
+
+    def __init__(self, num2: int):
+        self.num2 = num2
+
+
+# (endpoints, error): what the constructor refuses, whatever the table holds
+REFUSED = [
+    ((0, 1), TypeError),
+    ((hi(0), 1), TypeError),
+    ((0, hi(1)), TypeError),
+    ((NumTwo(0), NumTwo(2)), TypeError),
+    ((hi(0), NumTwo(2)), TypeError),
+    ((hi(1), hi(0)), EmptySegmentError),
+    ((hi(0), hi("1/2")), NonIntegralLengthError),
+]
+
+
+class TestSegmentInterning:
+    """Segments are hash-consed in a table that nothing empties: every route
+    to a value returns the one object, its fields are the value asked for,
+    and a refused input is refused whatever the table holds."""
+
+    @given(sampled_segment(), sampled_segment())
+    @settings(max_examples=200, deadline=None)
+    def test_every_route_returns_the_one_object(self, s, t):
+        b2, e2, line = s.b.num2, s.e.num2, s.line
+        for other in LINES:  # the line is part of the value
+            u = made(b2, e2, other)
+            assert (u.b.num2, u.e.num2, u.line) == (b2, e2, other)
+            assert (u is s) is (other == line) and (u == s) is (other == line)
+        assert fresh(s) is s
+        assert seg(str(s.b), str(s.e), line) is s
+        assert line != DEFAULT_LINE or seg(str(s.b), str(s.e)) is s
+        assert replace(s) is s and replace(s, e=HalfInt(e2)) is s
+        assert replace(s, b=s.b - 1) is made(b2 - 2, e2, line)
+        assert s.dual() is made(-e2, -b2, line) and s.dual().dual() is s
+        assert s.trimmed_top() is (None if b2 == e2 else made(b2, e2 - 2, line))
+        assert linked_union(s, fresh(s)) is s
+        assert linked_union(made(e2 + 2, e2 + 4, line), s) is made(b2, e2 + 4, line)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(s, protocol)) is s
+            assert pickle.loads(pickle.dumps([t, s], protocol))[1] is s
+        assert copy.copy(s) is s and copy.deepcopy(s) is s
+        assert copy.deepcopy((s, t)) == (s, t)
+        assert ms(fresh(s), fresh(t)).segments == ms(s, t).segments
+        for basis in "dz":
+            [key] = evaluate(f"{basis}[{s.b},{s.e}]@{line}").terms.coeffs
+            assert key.segments[0] is s
+        same = (t.b.num2, t.e.num2, t.line) == (b2, e2, line)
+        assert (t is s) is same and (t == s) is same and (t != s) is not same
+        assert (hash(t) == hash(s)) or not same
+        assert len({s, t, fresh(s), fresh(t)}) == 2 - same
+
+    def test_identity_outlives_cache_clearing_and_churn(self):
+        kept = seg(0, 2, "seg-churn-a")
+        unheld = weakref.ref(seg("1/2", "5/2", "seg-churn-a"))
+        clear_caches()
+        churn = [seg(b, b + j, "seg-churn-b") for b in range(-40, 40) for j in range(4)]
+        assert len(set(churn)) == len(churn)
+        del churn
+        gc.collect()
+        clear_caches()
+        assert made(0, 4, "seg-churn-a") is kept
+        assert ms(seg(0, 2, "seg-churn-a")).segments[0] is kept
+        assert unheld() is not None and unheld() is seg("1/2", "5/2", "seg-churn-a")
+        assert seg(-40, -37, "seg-churn-b") is made(-80, -74, "seg-churn-b")
+
+    @pytest.mark.parametrize("interned", [False, True], ids=["miss", "hit"])
+    def test_refusals_do_not_depend_on_the_table(self, interned):
+        line = f"refuse-{interned}"
+        # the valid values whose fields the refused inputs mimic
+        near = [seg(0, 1, line), seg(0, 0, line), seg(1, 1, line)] if interned else []
+        for (b, e), error in REFUSED:
+            with pytest.raises(error):
+                Segment(b, e, line)
+            with pytest.raises(error):
+                Segment(b=b, e=e, line=line)
+        assert {x for x in core._SEGMENTS.values() if x.line == line} == set(near)
 
 
 class TestIntSignatures:

@@ -511,6 +511,23 @@ class TestReportMemo:
                 _assert_same_report(got, want, where)
         assert _report.cache_info().hits > 0
 
+    def test_a_case_c_check_resolves_its_datum_once(self, monkeypatch):
+        data = [d for d in _eligible_data() if classify(d) is CaseTag.CASE_C][::5]
+        for d in data:
+            check_prop41(d)  # memoizes the partner's report
+        calls = Counter()
+        for name in ("_frame", "_validate_line"):
+            def counting(*args, _real=getattr(subquotients, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(subquotients, name, counting)
+        for d in data:
+            calls.clear()
+            rep = check_prop41(d)
+            assert calls == {"_frame": 1, "_validate_line": 1}, str(d)
+            assert rep.ok and rep.witness.basis == ZETA and rep.witness == witness(d)
+
     def test_context_is_enforced_on_a_memo_hit(self):
         for d in (CASE_B_1, CASE_C_1):
             assert check_prop41(d).ok
