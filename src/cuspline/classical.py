@@ -272,11 +272,9 @@ def module_comult_base(base: BaseSymbol) -> TensorClass:
         out = {}
         for k in range(-1, base.n + 1):
             left = ms(seg_opt(base.a + k + 1, base.a + base.n, base.line))
-            right_base: BaseSymbol
-            if k < 0:
-                right_base = CuspSymbol(base.sigma)
-            else:
-                right_base = StGenSymbol(base.line, base.a, k, base.sigma)
+            right_base = (
+                CuspSymbol(base.sigma) if k < 0 else StGenSymbol(base.line, base.a, k, base.sigma)
+            )
             key = (left, InducedSymbol(EMPTY_MS, right_base))
             out[key] = out.get(key, 0) + 1
         return TensorClass(FormalSum(out))
@@ -307,16 +305,20 @@ def module_comult_base(base: BaseSymbol) -> TensorClass:
 def module_comult(y: ClassElt, ctx: Context = DEFAULT_CONTEXT) -> TensorClass:
     """mu*(GL part |x| base) = (twisted coproduct of GL part) acting on mu*(base):
     a twisted term (l, r) and a base term (bl, br), whose ``br`` has the empty
-    GL part, give the term (l + bl, r |x| br.base)."""
+    GL part, give (l + bl, r |x| br.base), built once per r and br."""
     out: dict = {}
     get = out.get
     for sym, c in y.terms.coeffs.items():
-        tw = twisted_comult(delta_key(sym.gl), ctx).terms.coeffs.items()
+        by_right: dict = {}
+        for (l, r), tc in twisted_comult(delta_key(sym.gl), ctx).terms.coeffs.items():
+            by_right.setdefault(r, []).append((l, tc))
         for (bl, br), bc in module_comult_base(sym.base).terms.coeffs.items():
             base, empty, cb = br.base, bl is EMPTY_MS, c * bc
-            for (l, r), tc in tw:
-                key = (l if empty else l + bl, InducedSymbol(r, base))
-                out[key] = get(key, 0) + cb * tc
+            for r, lefts in by_right.items():
+                right = InducedSymbol(r, base)
+                for l, tc in lefts:
+                    key = (l if empty else l + bl, right)
+                    out[key] = get(key, 0) + cb * tc
     return TensorClass(FormalSum._clean(out))
 
 

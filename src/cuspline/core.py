@@ -6,23 +6,25 @@ A *segment* [b, e] on a line is a nonempty interval of half-integer exponents
 with integer length e - b + 1.  The empty segment is represented by ``None``
 (a marker, never a value stored inside multisegments).  A *multisegment* is a
 finite multiset of segments kept in a canonical order.  Both are
-hash-consed: segments in a table that nothing empties, each with a small
-int id local to the process (a segment pickles by its fields), and
-multisegments in a weak intern table (``hash_cons``, which the module-side
-symbols of ``classical`` share) keyed on the sorted segment ids.  So equal
-values are one object, dict keys hash and compare by identity, in C, and a
-weak table never keeps a dead value alive.  A ``FormalSum`` is a finitely supported Z-linear
+hash-consed: segments in a table that nothing empties, each with a prime
+id local to the process (a segment pickles by its fields), and multisegments
+in a weak intern table (``hash_cons``, which the module-side symbols of
+``classical`` share) keyed on the product of their segments' primes.  So
+equal values are one object, dict keys hash and compare by identity, in C,
+and a weak table never keeps a dead value alive.  A ``FormalSum`` is a finitely supported Z-linear
 combination of hashable keys with no explicit zero coefficients.  ``LinearElt`` is the one element type built on it: a
 ``FormalSum`` tagged with its rigid basis, whose subclasses are the ring,
 ring-tensor, module and module-tensor elements.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, Iterable, Iterator, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, TypeVar
 
 from .halfint import HalfInt, hi
 
@@ -123,7 +125,7 @@ def _forget(ref: _Ref, _remove=_remove_dead_weakref) -> None:
 _new = object.__new__
 
 
-def _enter(table: Dict[tuple, _Ref], key: tuple, out) -> None:
+def _enter(table: Dict[Hashable, _Ref], key: Hashable, out) -> None:
     """Enter the new object ``out`` in ``table`` under ``key``; its entry
     leaves when it dies."""
     ref = _Ref(out, _forget)
@@ -131,7 +133,7 @@ def _enter(table: Dict[tuple, _Ref], key: tuple, out) -> None:
     table[key] = ref
 
 
-def hash_cons(table: Dict[tuple, _Ref], key: tuple, cls: type, **fields):
+def hash_cons(table: Dict[Hashable, _Ref], key: Hashable, cls: type, **fields):
     """The one live ``cls`` object held in ``table`` under ``key`` (which
     fixes its value), made with the attribute values ``fields`` and entered
     on a miss.  Callers validate first, so a rejected value never enters a
@@ -150,11 +152,21 @@ def hash_cons(table: Dict[tuple, _Ref], key: tuple, cls: type, **fields):
 # Segments
 # ---------------------------------------------------------------------------
 
+def _primes() -> Iterator[int]:
+    """2, 3, 5, 7, ...: each n tried against the primes up to its root."""
+    found: list = []
+    for n in itertools.count(2):
+        if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, found)):
+            found.append(n)
+            yield n
+
+
 # (b.num2, e.num2, line) -> the one segment of that value: grows with the
 # distinct segment values seen, and nothing empties it (not ``clear_caches``),
-# so a live segment and a new equal one are one object and an id keeps
-# naming one value
+# so a live segment and a new equal one are one object and an id (the next
+# prime, taken when the value enters) keeps naming one value
 _SEGMENTS: Dict[tuple, "Segment"] = {}
+_NEXT_PRIME = _primes().__next__
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -180,7 +192,7 @@ class Segment:
             # canonical multisegment order: descending center, then
             # descending length, then line id; the key fixes the segment,
             # and so does its id
-            out.__dict__.update(b=b, e=e, line=line, _id=len(_SEGMENTS),
+            out.__dict__.update(b=b, e=e, line=line, _id=_NEXT_PRIME(),
                                 _sort_key=(-((b2 + e2) // 2), (b2 - e2) // 2 - 1, line))
             _SEGMENTS[b2, e2, line] = out
         return out
@@ -261,25 +273,22 @@ class Multisegment:
     """A finite multiset of segments in canonical order (immutable, hash-consed).
 
     Equal multisegments are one object: every constructor returns the value
-    held in a ``hash_cons`` table, keyed on the sorted tuple of the segments'
-    int ids (each fixes its segment).  ``==`` and ``hash`` are therefore the
-    C-level identity ones, so the dicts of the restriction code hash and
-    compare their keys without calling Python, and a sum sorts and hashes
-    plain ints.
+    held in a ``hash_cons`` table, keyed on the product of the segments'
+    prime ids, which unique factorisation makes exact.  ``==`` and ``hash``
+    are therefore the C-level identity ones, so the dicts of the restriction
+    code hash and compare their keys without calling Python, a sum looks up
+    the product of two ints and ``remove`` divides by one prime.
     """
 
     __slots__ = ("segments", "_sig", "__weakref__")
 
     def __new__(cls, segments: Iterable[Segment] = ()):
-        segs = []
-        for s in segments:
-            if s is None:
-                continue  # empty markers vanish silently on assembly
+        segs = [s for s in segments if s is not None]  # empty markers vanish
+        for s in segs:
             if not isinstance(s, Segment):
                 raise TypeError(f"not a segment: {s!r}")
-            segs.append(s)
         segs.sort(key=_SORT_KEY)
-        sig = tuple(sorted(map(_ID, segs)))
+        sig = math.prod(map(_ID, segs))
         return hash_cons(_INTERNED, sig, Multisegment, segments=tuple(segs), _sig=sig)
 
     def __setattr__(self, *a):  # immutable
@@ -300,7 +309,7 @@ class Multisegment:
             return self
         if not self.segments:
             return other
-        sig = tuple(sorted(self._sig + other._sig))
+        sig = self._sig * other._sig
         ref = _INTERNED.get(sig)
         out = ref and ref()
         if out is None:  # a new value: both runs are sorted, Timsort merges them
@@ -316,8 +325,7 @@ class Multisegment:
             i = self.segments.index(s)
         except ValueError:
             raise KeyError(f"segment {s} not in {self}")
-        j = self._sig.index(s._id)
-        sig = self._sig[:j] + self._sig[j + 1:]
+        sig = self._sig // s._id
         segments = self.segments[:i] + self.segments[i + 1:]
         return hash_cons(_INTERNED, sig, Multisegment, segments=segments, _sig=sig)
 
@@ -360,7 +368,7 @@ class Multisegment:
         return {"segments": [s.to_jsonable() for s in self.segments]}
 
 
-_INTERNED: Dict[tuple, _Ref] = {}  # the multisegments, by their sorted segment ids
+_INTERNED: Dict[int, _Ref] = {}  # the multisegments, by their prime products
 _LINE = operator.attrgetter("line")
 _SORT_KEY = operator.attrgetter("_sort_key")
 _ID = operator.attrgetter("_id")
@@ -394,14 +402,11 @@ class FormalSum(Generic[K]):
 
     def __init__(self, coeffs: Optional[Mapping[K, int]] = None):
         clean: Dict[K, int] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise TypeError(f"coefficient {c!r} is not an int")
-                if c != 0:
-                    clean[k] = clean.get(k, 0) + c
-                    if clean[k] == 0:
-                        del clean[k]
+        for k, c in (coeffs or {}).items():
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError(f"coefficient {c!r} is not an int")
+            if c != 0:  # a mapping's keys are distinct: nothing to merge
+                clean[k] = c
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, *a):
@@ -474,6 +479,13 @@ class FormalSum(Generic[K]):
 
     def __getitem__(self, key: K) -> int:
         return self.coeffs.get(key, 0)
+
+    def __contains__(self, key: K) -> bool:  # membership of the support
+        return key in self.coeffs
+
+    # not the sequence protocol, which ``__getitem__`` would otherwise
+    # imply: iterating would yield 0 forever
+    __iter__ = None
 
     def le(self, other: "FormalSum[K]") -> bool:
         """Coefficientwise <= (used for positivity arguments)."""

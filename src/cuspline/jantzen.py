@@ -28,6 +28,7 @@ from .core import (
     DEFAULT_CONTEXT,
     Multisegment,
     Segment,
+    _LINE,
 )
 from .glhopf import GLElt, TensorGL, gl_twisted_part, twisted_comult
 from .halfint import hi
@@ -152,11 +153,18 @@ def _one_sided(
     t: Union[TensorGL, TensorClass], p: LinePartition, side: int
 ) -> Union[TensorGL, TensorClass]:
     """The terms of a tensor whose left factor lies on ``side`` and whose
-    right factor lies on the other side."""
+    right factor lies on the other side.  A left factor's lines are tested in
+    C with no set (they seldom repeat); a right factor's verdict is memoized."""
     keep_left, keep_right = p.lines(side), p.lines(p.other(side))
-    return t.filter(
-        lambda key: key[0].lines() <= keep_left and key[1].lines() <= keep_right
-    )
+    right_ok: dict = {}
+
+    def keep(key) -> bool:
+        ok = right_ok.get(key[1])
+        if ok is None:
+            ok = right_ok[key[1]] = key[1].lines() <= keep_right
+        return ok and keep_left.issuperset(map(_LINE, key[0].segments))
+
+    return t.filter(keep)
 
 
 def module_comult_filtered(

@@ -2,6 +2,7 @@
 import copy
 import functools
 import gc
+import itertools
 import json
 import os
 import pickle
@@ -402,9 +403,9 @@ class TestSegmentInterning:
 
 
 class TestIntSignatures:
-    """The intern key is the sorted tuple of the segments' int ids and the
-    display order comes from their sort keys: each route against a rebuild
-    through the constructor, or against plain ints."""
+    """The intern key is an int built from the segments' ids and the display
+    order comes from their sort keys: each route against a rebuild through
+    the constructor, or against plain ints."""
 
     @given(sampled(), sampled())
     @settings(max_examples=200, deadline=None)
@@ -432,6 +433,90 @@ class TestIntSignatures:
         )
         assert m.sort_key() == want
         assert list(want) == sorted(want)
+
+
+# 320 distinct segment values on two lines of their own, as (b2, e2, line)
+# triples: a key holding a dozen of them is a product of primes far past
+# 64 bits, whatever the segment table held before
+WIDE = [
+    (b2, b2 + 2 * j, line) for line in ("wide-a", "wide-b") for b2 in range(-40, 40) for j in (0, 1)
+]
+
+
+def rebuilt(count: Counter) -> Multisegment:
+    """The multisegment of a Counter of triples, through the constructor."""
+    return Multisegment([made(*t) for t in count.elements()])
+
+
+def sieve(limit: int) -> list:
+    """The primes below ``limit``, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for n in range(2, int(limit ** 0.5) + 1):
+        if flags[n]:
+            flags[n * n::n] = bytes(len(range(n * n, limit, n)))
+    return [n for n in range(limit) if flags[n]]
+
+
+class TestPrimeSignatures:
+    """Each segment value takes the next prime as its id, and a multisegment's
+    intern key is the product of its segments' primes: sums multiply keys and
+    ``remove`` divides one, checked against Counters of plain triples."""
+
+    @given(st.lists(st.sampled_from(WIDE), max_size=16), st.lists(st.sampled_from(WIDE), max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_sums_and_removals_are_the_counter_rebuilds(self, xs, ys):
+        assert len({made(*t) for t in WIDE}) == len(WIDE) > 300
+        ca, cb = Counter(xs), Counter(ys)
+        a, b = rebuilt(ca), rebuilt(cb)
+        assert triples(a) == ca and triples(b) == cb
+        both = a + b
+        assert triples(both) == ca + cb
+        assert both is rebuilt(ca + cb) and both is b + a
+        for t in set(xs + ys):
+            rest = both.remove(made(*t))
+            assert triples(rest) == ca + cb - Counter([t])
+            assert rest is rebuilt(ca + cb - Counter([t]))
+            if t not in ca:
+                with pytest.raises(KeyError):
+                    a.remove(made(*t))
+
+    def test_keys_past_64_bits(self):
+        pool = Counter(WIDE)
+        whole = rebuilt(pool)
+        assert whole._sig.bit_length() > 64
+        twice = whole + whole
+        assert triples(twice) == pool + pool and twice is rebuilt(pool + pool)
+        for t in WIDE[::7]:
+            assert whole.remove(made(*t)) is rebuilt(pool - Counter([t]))
+            assert twice.remove(made(*t)) is whole + whole.remove(made(*t))
+
+    def test_prime_generator_matches_a_sieve(self):
+        want = sieve(20000)[:2000]
+        assert len(want) == 2000 and want[-1] == 17389
+        assert list(itertools.islice(core._primes(), 2000)) == want
+
+    def test_segment_ids_are_the_first_primes(self):
+        # each value entered takes the next prime, and nothing leaves the table
+        ids = sorted(s._id for s in core._SEGMENTS.values())
+        assert ids == list(itertools.islice(core._primes(), len(ids)))
+
+    def test_removing_an_absent_segment_raises_and_enters_nothing(self):
+        m = ms(seg(0, 1, "absent-a"), seg(2, 2, "absent-a"), seg(2, 2, "absent-a"))
+        held = (m, m.remove(seg(2, 2, "absent-a")), EMPTY_MS)
+        absent = [
+            seg(0, 0, "absent-a"),  # same line, another value
+            seg(0, 1, "absent-b"),  # same endpoints, another line
+            seg(-3, 7, "absent-c"),  # a value entered after m's segments
+        ]
+        gc.collect()
+        before = set(core._INTERNED)
+        for s in absent:
+            for x in held:
+                with pytest.raises(KeyError):
+                    x.remove(s)
+        assert set(core._INTERNED) - before == set()
+        assert interned_on("absent-") == 2
 
 
 # Run in a second interpreter: builds the "xp-" segments in an order the test
@@ -504,6 +589,24 @@ class TestFormalSum:
     def test_non_int_coefficients_rejected(self):
         with pytest.raises(TypeError):
             FormalSum({"a": 1.5})
+
+    def test_iteration_is_refused(self):
+        # checked before anything that would loop: the sequence protocol
+        # that ``__getitem__`` implies yields 0 forever
+        s = FormalSum({"a": 1})
+        for x in (s, FormalSum.zero()):
+            with pytest.raises(TypeError):
+                iter(x)
+            with pytest.raises(TypeError):
+                list(x)
+
+    def test_membership_is_the_support(self):
+        s = FormalSum({"a": 1, "b": -2, "c": 0})
+        assert "a" in s and "b" in s
+        assert "c" not in s and "z" not in s and 0 not in s
+        assert (ms(seg(0, 1)), "x") in FormalSum.lift((ms(seg(0, 1)), "x"), 3)
+        assert ms(seg(0, 1)) not in FormalSum.lift((ms(seg(0, 1)), "x"), 3)
+        assert "a" not in s - s
 
 
 class TestClearCaches:
