@@ -267,6 +267,9 @@ def cmd_check(args: argparse.Namespace, ctx: Context) -> Outcome:
         report = check(_single_datum(args), ctx)
         code = EXIT_OK if report.ok else EXIT_FAIL
         return code, {"report": report}, [report]
+    for flag, given in (("--cuts", args.cuts is not None), ("--bottom", args.bottom)):
+        if given:
+            raise CusplineError(f"--all sweeps every datum of the chain: drop {flag}")
 
     data = enumerate_subquotients(args.alpha, args.n, args.line, args.sigma)
     eligible, skipped = [], []

@@ -597,3 +597,24 @@ class TestInterning:
         del alive, rights, again
         gc.collect()
         assert interned_over("churn-") == 0
+
+
+class TestInducedSymbolShape:
+    """A new induced symbol, made on a miss of the intern table, holds its
+    two parts as frozen fields and prints as a dataclass does."""
+
+    def test_a_new_symbol_has_two_frozen_fields(self):
+        base = CuspSymbol("new-symbol")
+        gl = ms(seg(0, 2), seg("1/2", "1/2", "tau"))
+        assert interned_over("new-symbol") == 1  # the base alone: a miss follows
+        sym = InducedSymbol(gl, base)
+        assert interned_over("new-symbol") == 2
+        assert [f.name for f in dataclasses.fields(sym)] == ["gl", "base"]
+        for name, value in (("gl", EMPTY_MS), ("base", base), ("other", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sym, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del sym.gl
+        assert sym.gl is gl and sym.base is base
+        assert repr(sym) == f"InducedSymbol(gl={gl!r}, base={base!r})"
+        assert str(sym) == f"{gl} |x| {base}"

@@ -205,6 +205,21 @@ class TestChecks:
         assert code == 2
         assert "--cuts" in err or "--all" in err
 
+    @pytest.mark.parametrize("command", ["check-length", "check-mult", "check-prop41"])
+    @pytest.mark.parametrize(
+        "flags,named",
+        [(["--cuts", "01"], "--cuts"), (["--bottom"], "--bottom"),
+         (["--cuts", "01", "--bottom"], "--cuts"), (["--cuts", ""], "--cuts")],
+    )
+    def test_all_with_one_datum_flag_exit_2(self, capsys, command, flags, named):
+        # a sweep would silently ignore the single datum asked for
+        for json_flag in ([], ["--json"]):
+            code, out, err = run(
+                capsys, command, "--alpha", "1/2", "--n", "2", "--all", *flags, *json_flag
+            )
+            assert code == 2 and out == ""
+            assert named in err and "--all" in err
+
     def test_sweep_all(self, capsys):
         code, out, _ = run(
             capsys, "check-prop41", "--alpha", "1/2", "--n", "2", "--all"

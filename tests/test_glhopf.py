@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cuspline import sampling, subquotients
+from cuspline import clear_caches, sampling, subquotients
 from cuspline.classical import CuspSymbol, induced, module_comult
 from cuspline.core import (
     Context,
@@ -25,6 +25,7 @@ from cuspline.glhopf import (
     GLElt,
     TensorGL,
     _segmentwise_tensor,
+    _twisted_comult_prefix,
     comult,
     comult_key,
     comult_segment,
@@ -402,6 +403,69 @@ class TestTwistedMultiplicative:
             gl_twisted_part(delta_key(key), ctx)
         with pytest.raises(LineError):
             module_comult(induced(key, CuspSymbol()), ctx)
+
+
+@st.composite
+def key_of_one_to_five_segments(draw):
+    """A key of 1-5 segments on the selfdual lines rho and tau, its last
+    segment a repeat about half of the time."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    count = draw(st.integers(min_value=1, max_value=5))
+    segments = [sampling.random_segment(rng, rng.choice(("rho", "tau"))) for _ in range(count)]
+    if count > 1 and draw(st.booleans()):
+        segments[-1] = rng.choice(segments[:-1])
+    return Multisegment(segments)
+
+
+class TestTwistedPrefixCache:
+    """A key's twisted coproduct is its cached prefix's value times its last
+    segment's; the key's own value is not cached."""
+
+    @given(key_of_one_to_five_segments(), st.sampled_from([DELTA, ZETA]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_cold_and_warm_values_match_the_uncached_routes(self, m, basis, cold):
+        if cold:
+            _twisted_comult_prefix.cache_clear()
+        x = GLElt.key(basis, m)
+        reference = twisted_comult_compositional(x)
+        product = _segmentwise_tensor(m, basis, twisted_comult_segment)
+        for _ in range(2):  # the second call finds every prefix cached
+            got = twisted_comult(x)
+            assert got == reference
+            assert list(got.terms.coeffs.items()) == list(product.terms.coeffs.items())
+
+    @given(key_of_one_to_five_segments(), st.sampled_from([DELTA, ZETA]))
+    @settings(max_examples=60, deadline=None)
+    def test_a_new_key_caches_its_prefixes_only(self, m, basis):
+        _twisted_comult_prefix.cache_clear()
+        twisted_comult(GLElt.key(basis, m))
+        prefixes = len(m) - 1  # one per length from len(m) - 1 down to 1
+        info = _twisted_comult_prefix.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, prefixes, prefixes)
+        twisted_comult(GLElt.key(basis, m))
+        info = _twisted_comult_prefix.cache_info()
+        assert (info.hits, info.misses) == (min(prefixes, 1), prefixes)
+
+    def test_selfduality_is_checked_before_the_prefix_cache(self):
+        # the w segment sorts first, so it lies in every prefix of either key
+        key = ms(seg(2, 3, "w"), seg(0, 1), seg(-1, -1))
+        longer = key + ms(seg(-2, -2))
+        assert longer.segments[:-1] == key.segments
+        _twisted_comult_prefix.cache_clear()
+        twisted_comult(delta_key(longer))  # the default context: w is selfdual
+        assert _twisted_comult_prefix.cache_info().currsize == 3  # key among them
+        ctx = Context(lines={"w": Line("w", selfdual=False)})
+        for m in (key, longer):
+            with pytest.raises(LineError):
+                twisted_comult(delta_key(m), ctx)
+            with pytest.raises(LineError):
+                module_comult(induced(m, CuspSymbol()), ctx)
+
+    def test_clear_caches_empties_the_prefix_cache(self):
+        twisted_comult(delta_key(ms(seg(0, 1), seg(1, 1), seg(2, 3))))
+        assert _twisted_comult_prefix.cache_info().currsize > 0
+        clear_caches()
+        assert _twisted_comult_prefix.cache_info().currsize == 0
 
 
 class TestBaseChange:
