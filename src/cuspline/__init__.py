@@ -19,7 +19,7 @@ language (``dsl``), and seeded random generators for property tests
 The names imported below, and ``clear_caches``, are the package's public
 interface.
 """
-import sys
+from types import ModuleType
 
 from .halfint import HalfInt, hi
 from .core import (
@@ -107,7 +107,6 @@ from .jantzen import (
 from .criteria import (
     CriterionResult,
     GenericDatum,
-    GenericDescription,
     MalformedDatumError,
     generic_unitarizable,
     half_point_reducible,
@@ -118,14 +117,18 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every ``functools`` cache of the imported ``cuspline`` modules,
+    """Empty every ``functools`` cache of this package's imported modules,
     module-level or on a class (the restriction and certification memos and
     the CLI parser), so that the next call recomputes: after replacing a
-    function that a memo calls, or before timing a cold run."""
-    for name, module in list(sys.modules.items()):
-        if name != __name__ and not name.startswith(__name__ + "."):
-            continue
-        values = list(vars(module).values())
+    function that a memo calls, or before timing a cold run.  It walks this
+    package's own submodules, not the ``sys.modules`` entries of its name,
+    so another copy loaded under that name neither hides it nor is cleared."""
+    namespaces = [globals()] + [
+        vars(m) for m in list(globals().values())
+        if isinstance(m, ModuleType) and m.__name__.startswith(__name__ + ".")
+    ]
+    for namespace in namespaces:
+        values = list(namespace.values())
         values += [v for c in values if isinstance(c, type) for v in vars(c).values()]
         for value in values:
             value = getattr(value, "__func__", value)

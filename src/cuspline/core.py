@@ -487,11 +487,6 @@ class FormalSum(Generic[K]):
     # imply: iterating would yield 0 forever
     __iter__ = None
 
-    def le(self, other: "FormalSum[K]") -> bool:
-        """Coefficientwise <= (used for positivity arguments)."""
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self[k] <= other[k] for k in keys)
-
     # -- structural transforms --------------------------------------------
     def map_keys(self, f: Callable[[K], K]) -> "FormalSum":
         out: Dict = {}

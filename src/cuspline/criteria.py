@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .core import Context, CusplineError, DEFAULT_CONTEXT
+from .core import CusplineError
 from .halfint import HalfInt
-from .classical import TemperedSymbol
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -396,72 +395,3 @@ def half_point_reducible(segment_length: int, alpha: HalfInt) -> bool:
     if alpha.num2 % 2 == 1:
         return segment_length % 2 == 1
     return segment_length % 2 == 0
-
-
-def half_point_reducible_on_line(
-    segment_length: int, line_id: str, ctx: Context = DEFAULT_CONTEXT
-) -> bool:
-    line = ctx.line(line_id)
-    if line.alpha is None:
-        raise MalformedDatumError(
-            f"line {line_id!r} has no declared reducibility point"
-        )
-    return half_point_reducible(segment_length, line.alpha)
-
-
-# ---------------------------------------------------------------------------
-# Per-line factoring of a generic description
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GenericDescription:
-    """A full generic description: per-label data plus the tempered part."""
-
-    data: Tuple[GenericDatum, ...]
-    temp: Optional[TemperedSymbol] = None
-
-    def decide(self) -> CriterionResult:
-        return generic_unitarizable(self.data)
-
-
-def generic_line_factor(
-    desc: GenericDescription, ctx: Context = DEFAULT_CONTEXT
-) -> Dict[str, GenericDescription]:
-    """Group a generic description by cuspidal line.
-
-    Each label keeps its flags unchanged (the reducibility facts they encode
-    are local to the label's line), and the tempered part is projected onto
-    each line in turn.  The whole description is unitarizable if and only if
-    every per-line factor is.
-    """
-    from .jantzen import LinePartition, project_datum  # local: avoid cycle
-    from .classical import LanglandsDatum
-    from .core import Multisegment
-
-    groups: Dict[str, List[GenericDatum]] = {}
-    for d in desc.data:
-        if d.line is None:
-            raise MalformedDatumError(
-                f"label {d.label!r} has no line; cannot factor by line"
-            )
-        groups.setdefault(d.line, []).append(d)
-    for d in desc.data:
-        if d.partner is not None:
-            partner = next(
-                (x for x in desc.data if x.label == d.partner), None
-            )
-            if partner is not None and partner.line != d.line:
-                raise MalformedDatumError(
-                    f"contragredient partners {d.label!r} and {d.partner!r} "
-                    "sit on different lines"
-                )
-    out: Dict[str, GenericDescription] = {}
-    for line_id in sorted(groups):
-        temp_part = desc.temp
-        if temp_part is not None:
-            wrapper = LanglandsDatum(Multisegment(()), temp_part)
-            others = (frozenset(groups) | temp_part.lines()) - {line_id}
-            p = LinePartition(frozenset({line_id}), frozenset(others))
-            temp_part = project_datum(wrapper, p, 1).temp
-        out[line_id] = GenericDescription(tuple(groups[line_id]), temp_part)
-    return out

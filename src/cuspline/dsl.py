@@ -25,14 +25,18 @@ interpreter stack's edge, and past either one the input is a syntax error:
 an expression has at most ``MAX_LENGTH`` (10000) characters, and at most
 ``MAX_NESTING`` (100) levels of parentheses, function calls and ``|x|``
 right operands nested inside one another.  A product of any length is one
-flat ``Prod`` node, evaluated in a loop.  A function that could make more
-than ``MAX_TERMS`` (100000) terms is a type error before it expands.
+flat ``Prod`` node, evaluated in a loop.  A function or a ``*`` product
+that could make more than ``MAX_TERMS`` (100000) terms, and an ``mw`` that
+could build more than ``MAX_TERMS`` new segments, is a type error before
+it expands.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
+from operator import mul
 from typing import List, Tuple, Union
 
 from .core import Context, CusplineError, DEFAULT_CONTEXT, EMPTY_MS, Segment, ms
@@ -362,19 +366,23 @@ def _eval(node: Expr, ctx: Context) -> Value:
             raise DslTypeError(str(exc)) from exc
         return induced(EMPTY_MS, sym)
     if isinstance(node, Prod):
-        left = _eval(node.factors[0], ctx)
+        # every factor is evaluated and checked before anything multiplies
+        first = _eval(node.factors[0], ctx)
+        factors = [first]
         for factor in node.factors[1:]:
             right = _eval(factor, ctx)
-            if not isinstance(left, GLElt) or not isinstance(right, GLElt):
+            if not isinstance(first, GLElt) or not isinstance(right, GLElt):
                 raise DslTypeError(
                     f"'*' needs ring elements on both sides, got "
-                    f"{_type_name(left)} and {_type_name(right)}"
+                    f"{_type_name(first)} and {_type_name(right)}"
                 )
             try:
-                left = left * right
+                first._require_same(right)
             except MixedBasisError as exc:
                 raise DslTypeError(str(exc)) from exc
-        return left
+            factors.append(right)
+        _check_bound("'*'", prod(len(f.terms) for f in factors))
+        return reduce(mul, factors)
     if isinstance(node, Induce):
         left = _eval(node.left, ctx)
         right = _eval(node.right, ctx)
@@ -408,11 +416,36 @@ _RING_FUNCTIONS = {
 }
 
 
-def term_bound(fn: str, x: GLElt) -> int:
+def _base_terms(base) -> int:
+    """The terms of ``module_comult_base(base)``, in closed form: 1 for
+    sigma, n + 2 for St(a, n), 2^(n+1) for CoSt(a, n).  The exponent stops
+    at 64, far past ``MAX_TERMS``, so that a huge n costs nothing."""
+    if isinstance(base, StGenSymbol):
+        return base.n + 2
+    if isinstance(base, CoStGenSymbol):
+        return 2 ** min(base.n + 1, 64)
+    return 1
+
+
+def term_bound(fn: str, x: Union[GLElt, ClassElt]) -> int:
     """An upper bound on the number of terms ``fn`` makes from ``x``: the
-    sum over its keys of the product of the one-segment counts."""
+    sum over its keys of the product of the one-segment counts.  For
+    ``mustar``, each symbol's GL part counts as in ``Mstar``, times its
+    base's count."""
+    if fn == "mustar":
+        return sum(
+            term_bound("Mstar", delta_key(sym.gl)) * _base_terms(sym.base)
+            for sym in x.terms.coeffs
+        )
     per_segment = _SEGMENT_TERMS[fn]
     return sum(prod(per_segment(s.length) for s in key) for key in x.terms.coeffs)
+
+
+def _check_bound(what: str, bound: int, made: str = "terms") -> None:
+    if bound > MAX_TERMS:
+        raise DslTypeError(
+            f"{what} could make up to {bound} {made}, more than {MAX_TERMS}"
+        )
 
 
 def _apply(fn: str, arg: Value, ctx: Context) -> Value:
@@ -421,6 +454,7 @@ def _apply(fn: str, arg: Value, ctx: Context) -> Value:
             raise DslTypeError(
                 f"mustar needs a module element, got {_type_name(arg)}"
             )
+        _check_bound(fn, term_bound(fn, arg))
         return module_comult(arg, ctx)
     if isinstance(arg, (TensorGL, TensorClass)):
         raise DslTypeError(f"{fn} cannot be applied to a {_type_name(arg)}")
@@ -429,11 +463,10 @@ def _apply(fn: str, arg: Value, ctx: Context) -> Value:
     # ``hd`` of a positive element makes at most one term per key (glhopf)
     positive_hd = fn == "hd" and all(c > 0 for c in arg.terms.coeffs.values())
     if fn in _SEGMENT_TERMS and not positive_hd:
-        bound = term_bound(fn, arg)
-        if bound > MAX_TERMS:
-            raise DslTypeError(
-                f"{fn} could make up to {bound} terms, more than {MAX_TERMS}"
-            )
+        _check_bound(fn, term_bound(fn, arg))
+    if fn == "mw":  # at most one dual and one trimmed segment per exponent
+        size = sum(key.size for key in arg.terms.coeffs)
+        _check_bound(fn, 2 * size, "new segments")
     try:
         return _RING_FUNCTIONS[fn](arg, ctx)
     except CusplineError as exc:

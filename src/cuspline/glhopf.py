@@ -76,13 +76,6 @@ class GLElt(LinearElt):
         self._require_same(other)
         return self._with(self.terms.combine(other.terms, Multisegment.__add__))
 
-    def graded_parts(self) -> dict:
-        """Split into homogeneous components keyed by total support size."""
-        parts: dict = {}
-        for key, c in self.terms.coeffs.items():
-            parts.setdefault(key.size, {})[key] = c
-        return {n: GLElt(self.basis, FormalSum(d)) for n, d in sorted(parts.items())}
-
 
 def delta_key(m: Multisegment, coeff: int = 1) -> GLElt:
     return _linear_elt(GLElt, DELTA, FormalSum.lift(m, coeff))

@@ -92,11 +92,7 @@ class HalfInt:
 
     __rmul__ = __mul__
 
-    # -- predicates -------------------------------------------------------
-    @property
-    def is_integer(self) -> bool:
-        return self.num2 % 2 == 0
-
+    # -- conversion -------------------------------------------------------
     def as_fraction(self) -> Fraction:
         return Fraction(self.num2, 2)
 

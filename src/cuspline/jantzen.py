@@ -117,13 +117,6 @@ class LinePartition:
             raise PartitionError(f"side must be 1 or 2, got {side!r}")
         return 3 - side
 
-    def side_of(self, line_id: str) -> int:
-        if line_id in self.part1:
-            return 1
-        if line_id in self.part2:
-            return 2
-        raise PartitionError(f"line {line_id!r} is on neither side")
-
     def require_supported(self, lines: Iterable[str], what: str) -> None:
         missing = frozenset(lines) - self.all_lines
         if missing:
@@ -227,14 +220,6 @@ def _flatten_tempered(t: TemperedSymbol) -> Tuple[Tuple[Segment, ...], TemperedS
         segs.extend(t.segs)
         t = t.inner
     return tuple(segs), t
-
-
-def canonical_tempered(t: TemperedSymbol) -> TemperedSymbol:
-    """Flatten nested induction labels; drop empty ones."""
-    segs, core = _flatten_tempered(t)
-    if not segs:
-        return core
-    return IndTemp(segs, core)
 
 
 def _project_tempered(t: TemperedSymbol, keep: FrozenSet[str]) -> TemperedSymbol:

@@ -69,7 +69,6 @@ from .core import (
     ms,
 )
 from .classical import (
-    ClassElt,
     CoStGenSymbol,
     CuspSymbol,
     DatumError,
@@ -80,7 +79,6 @@ from .classical import (
     TempBase,
     dominates,
     exponent_vector,
-    induced,
     module_comult_base,
 )
 from .glhopf import (
@@ -220,12 +218,6 @@ class SubqDatum:
         out.append(Segment(start, self.alpha + self.n, self.line))
         return tuple(reversed(out))
 
-    def full_key(self) -> Multisegment:
-        return Multisegment(self.blocks())
-
-    def langlands_datum(self) -> LanglandsDatum:
-        return _langlands_datum(self, self.blocks(), self.bottom)
-
     def __str__(self) -> str:
         body = ",".join(str(b) for b in self.blocks())
         flag = "St" if self.bottom else "L"
@@ -301,26 +293,6 @@ def aubert_pair(d: SubqDatum) -> SubqDatum:
         d.n,
         tuple(not c for c in d.cuts),
         not d.bottom,
-    )
-
-
-def chain_product(alpha, n: int, line: str = "rho", sigma: str = "sigma") -> ClassElt:
-    """The ambient induced chain as a single induced-symbol key."""
-    a = hi(alpha)
-    singles = Multisegment(Segment(a + i, a + i, line) for i in range(n + 1))
-    return induced(singles, CuspSymbol(sigma))
-
-
-def induced_split(d: SubqDatum) -> Tuple[SubqDatum, SubqDatum]:
-    """The two-term expansion of (full Langlands list) |x| sigma.
-
-    Inducing the general-linear class of the full tiling against sigma has
-    exactly the two constituents given by the two flag states of the same
-    tiling: the all-in-the-list label and the bottom-attached label.
-    """
-    return (
-        SubqDatum(d.line, d.sigma, d.alpha, d.n, d.cuts, False),
-        SubqDatum(d.line, d.sigma, d.alpha, d.n, d.cuts, True),
     )
 
 

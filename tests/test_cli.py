@@ -2,9 +2,12 @@
 
 import argparse
 import json
+import os
 import pathlib
 import re
+import resource
 import runpy
+import subprocess
 import sys
 
 import pytest
@@ -565,6 +568,36 @@ class TestInputGuards:
         code, out, err = run(capsys, "eval", f"D({factors})")
         assert code == 2 and out == ""
         assert f"up to 131072 terms, more than {dsl.MAX_TERMS}" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "mustar( " + " * ".join(["d[0,3]@rho"] * 8) + " |x| sigma )",
+            "mustar( " + " * ".join(["d[0,3]@rho"] * 9) + " |x| sigma )",
+            " * ".join(f"D(z[{2 * i},{2 * i + 1}]@rho)" for i in range(20)),
+            "mustar(CoSt(1/2,24)@rho)",
+            "mustar(St(1/2,200000)@rho)",
+            "mw(d[0,100000]@rho)",
+        ],
+        ids=["mustar-8", "mustar-9", "product-20", "mustar-CoSt", "mustar-St", "mw"],
+    )
+    def test_short_input_past_a_bound_exits_2_within_a_second(self, text):
+        # a child process under a timeout, so that an unbounded expansion
+        # fails the test instead of hanging the suite; the second is CPU
+        # time, which a busy machine does not stretch
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspline", "eval", text],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        assert f"more than {dsl.MAX_TERMS}" in proc.stderr
+        assert cpu < 1.0
 
     def test_sweep_rejects_chain_length_past_the_cap(self, capsys):
         path = pathlib.Path(__file__).parent.parent / "scripts" / "sweep_counting.py"

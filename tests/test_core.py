@@ -9,6 +9,7 @@ import pickle
 import random
 import subprocess
 import sys
+import types
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspline import clear_caches, cli, core
+from cuspline import clear_caches, cli, core, glhopf
 from cuspline.core import (
     EMPTY_MS,
     DEFAULT_LINE,
@@ -51,10 +52,6 @@ class TestHalfInt:
 
     def test_ordering(self):
         assert hi("-1/2") < hi(0) < hi("1/2") < hi(1)
-
-    def test_integrality(self):
-        assert hi(2).is_integer
-        assert not hi("3/2").is_integer
 
     def test_json_form_has_no_floats(self):
         payload = json.dumps(hi("3/2").to_jsonable())
@@ -574,12 +571,6 @@ class TestFormalSum:
         assert (3 * s).coeffs == {"a": 3, "b": 6}
         assert (s - s) == FormalSum.zero()
 
-    def test_coefficientwise_le(self):
-        s = FormalSum({"a": 1})
-        t = FormalSum({"a": 2, "b": 1})
-        assert s.le(t)
-        assert not t.le(s)
-
     def test_bind_and_combine_are_bilinear(self):
         s = FormalSum({1: 2})
         t = FormalSum({10: 3})
@@ -632,3 +623,12 @@ class TestClearCaches:
         assert {k: c.cache_info().currsize for k, c in caches.items()} == dict.fromkeys(
             caches, 0
         )
+
+    def test_clears_this_copy_when_another_holds_its_module_names(self, monkeypatch):
+        # as when a second copy of the package is loaded under the same name
+        glhopf.comult_key(ms(seg(0, 2)), glhopf.DELTA)
+        assert glhopf.comult_key.cache_info().currsize > 0
+        other = types.ModuleType("cuspline.glhopf")
+        monkeypatch.setitem(sys.modules, "cuspline.glhopf", other)
+        clear_caches()
+        assert glhopf.comult_key.cache_info().currsize == 0

@@ -3,20 +3,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from cuspline.core import Context, Line, Segment
-from cuspline.classical import CuspSymbol, IndTemp, StGenSymbol, TempBase
+from cuspline.core import EMPTY_MS, Context, Line, Segment
+from cuspline.classical import (
+    CuspSymbol,
+    IndTemp,
+    LanglandsDatum,
+    StGenSymbol,
+    TempBase,
+)
 from cuspline.halfint import hi
 from cuspline.criteria import (
     GenericDatum,
-    GenericDescription,
     MalformedDatumError,
     PASS,
     SKIP,
-    generic_line_factor,
     generic_unitarizable,
     half_point_reducible,
-    half_point_reducible_on_line,
 )
+from cuspline.jantzen import LinePartition, project_datum
 
 CTX = Context(
     lines={
@@ -172,76 +176,67 @@ class TestLineIndependence:
         assert half_point_reducible(4, hi(0)) is True
 
     def test_half_point_on_line(self):
-        assert half_point_reducible_on_line(3, "rho", CTX) is True
-        assert half_point_reducible_on_line(3, "tau", CTX) is False
-        with pytest.raises(MalformedDatumError):
-            half_point_reducible_on_line(3, "unknown", CTX)
+        # the rule reads the line's declared reducibility point
+        assert half_point_reducible(3, CTX.line("rho").alpha) is True
+        assert half_point_reducible(3, CTX.line("tau").alpha) is False
         with pytest.raises(MalformedDatumError):
             half_point_reducible(0, hi("1/2"))
 
 
+def by_line(data):
+    """The data grouped by cuspidal line, each group in input order."""
+    groups = {}
+    for d in data:
+        groups.setdefault(d.line, []).append(d)
+    return {line: tuple(group) for line, group in groups.items()}
+
+
+def unitarizable(data):
+    return generic_unitarizable(data).unitarizable
+
+
 class TestLineFactor:
+    """A generic description is unitarizable if and only if its factor on
+    every cuspidal line is."""
+
     def test_groups_and_biconditional(self):
-        desc = GenericDescription(
-            (
-                D("a", ["1/4"], line="rho"),
-                D("b", ["1/3", "1/4"], hr=True, line="tau"),
-                D("c", ["2/5"], line="rho"),
-            )
+        data = (
+            D("a", ["1/4"], line="rho"),
+            D("b", ["1/3", "1/4"], hr=True, line="tau"),
+            D("c", ["2/5"], line="rho"),
         )
-        groups = generic_line_factor(desc, CTX)
-        assert sorted(groups) == ["rho", "tau"]
-        assert [d.label for d in groups["rho"].data] == ["a", "c"]
-        whole = desc.decide().unitarizable
-        parts = all(g.decide().unitarizable for g in groups.values())
+        groups = by_line(data)
+        assert [d.label for d in groups["rho"]] == ["a", "c"]
+        whole = unitarizable(data)
+        parts = all(unitarizable(g) for g in groups.values())
         assert whole is parts is True
 
     def test_one_line_failing_fails_whole(self):
-        desc = GenericDescription(
-            (
-                D("a", ["1/4"], line="rho"),
-                D("b", ["3/4"], hr=True, line="tau"),
-            )
+        data = (
+            D("a", ["1/4"], line="rho"),
+            D("b", ["3/4"], hr=True, line="tau"),
         )
-        groups = generic_line_factor(desc, CTX)
-        assert desc.decide().unitarizable is False
-        assert groups["rho"].decide().unitarizable is True
-        assert groups["tau"].decide().unitarizable is False
-
-    def test_single_line_identity(self):
-        desc = GenericDescription((D("a", ["1/4"], line="rho"),))
-        groups = generic_line_factor(desc, CTX)
-        assert list(groups) == ["rho"]
-        assert groups["rho"].data == desc.data
+        groups = by_line(data)
+        assert unitarizable(data) is False
+        assert unitarizable(groups["rho"]) is True
+        assert unitarizable(groups["tau"]) is False
 
     def test_tempered_part_projected(self):
+        # the tempered part's factor on a line keeps that line's induction
+        # segments and base atom, and replaces the others by sigma
         temp = IndTemp(
             (Segment(hi(-1), hi(1), "tau"),),
             TempBase(StGenSymbol("rho", hi("1/2"), 1)),
         )
-        desc = GenericDescription(
-            (D("a", [], line="rho"), D("b", [], line="tau")), temp
+        wrapper = LanglandsDatum(EMPTY_MS, temp)
+        on_rho = LinePartition(frozenset({"rho"}), frozenset({"tau"}))
+        on_tau = LinePartition(frozenset({"tau"}), frozenset({"rho"}))
+        assert project_datum(wrapper, on_rho, 1).temp == TempBase(
+            StGenSymbol("rho", hi("1/2"), 1)
         )
-        groups = generic_line_factor(desc, CTX)
-        assert groups["rho"].temp == TempBase(StGenSymbol("rho", hi("1/2"), 1))
-        assert groups["tau"].temp == IndTemp(
+        assert project_datum(wrapper, on_tau, 1).temp == IndTemp(
             (Segment(hi(-1), hi(1), "tau"),), TempBase(CuspSymbol())
         )
-
-    def test_missing_line_rejected(self):
-        desc = GenericDescription((D("a", []),))
-        with pytest.raises(MalformedDatumError):
-            generic_line_factor(desc, CTX)
-
-    def test_partners_split_across_lines_rejected(self):
-        desc = GenericDescription(
-            (
-                D("a", [], sd=False, partner="b", line="rho"),
-                D("b", [], sd=False, partner="a", line="tau"),
-            )
-        )
-        with pytest.raises(MalformedDatumError):
-            generic_line_factor(desc, CTX)
 
 
 class TestFactorDecideCommutes:
@@ -267,8 +262,6 @@ class TestFactorDecideCommutes:
                     line,
                 )
             )
-        desc = GenericDescription(tuple(data))
-        groups = generic_line_factor(desc, CTX)
-        whole = desc.decide().unitarizable
-        parts = all(g.decide().unitarizable for g in groups.values())
+        whole = unitarizable(data)
+        parts = all(unitarizable(g) for g in by_line(data).values())
         assert whole == parts

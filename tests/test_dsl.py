@@ -1,19 +1,26 @@
 """Tests for the expression language: parsing, evaluation, and errors."""
 
+import itertools
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cuspline import dsl
+from cuspline import core, dsl
 
 from cuspline.classical import (
     ClassElt,
+    CoStGenSymbol,
     CuspSymbol,
     InducedSymbol,
     StGenSymbol,
     TensorClass,
+    induced,
+    module_comult,
+    module_comult_base,
 )
-from cuspline.core import Context, EMPTY_MS, Line, Segment, ms
+from cuspline.core import Context, EMPTY_MS, Line, Multisegment, Segment, ms
 from cuspline.dsl import (
     BaseAtom,
     Call,
@@ -318,17 +325,36 @@ class TestTermBudget:
     def two_point_product(k):
         return "*".join(f"z[{2 * i},{2 * i + 1}]@rho" for i in range(k))
 
+    @staticmethod
+    def derivative_product(k):
+        """k factors D(z[2i,2i+1]@rho) of two terms each."""
+        return "*".join(f"D(z[{2 * i},{2 * i + 1}]@rho)" for i in range(k))
+
     def test_bound_just_under_and_just_past_the_cap(self):
         under = evaluate(self.two_point_product(16))
         past = evaluate(self.two_point_product(17))
         assert dsl.term_bound("D", under) == 2 ** 16 <= dsl.MAX_TERMS
         assert dsl.term_bound("D", past) == 2 ** 17 > dsl.MAX_TERMS
+        # a product's bound multiplies its factors' term counts
+        assert len(evaluate(self.derivative_product(16)).terms) == 2 ** 16
+        with pytest.raises(DslTypeError, match="'\\*' could make up to 131072"):
+            evaluate(self.derivative_product(17))
+        # mustar's: 1 for sigma, n + 2 for St(a, n), 2^(n+1) for CoSt(a, n)
+        at_cap = evaluate("St(1/2,99998)@rho")
+        assert dsl.term_bound("mustar", at_cap) == dsl.MAX_TERMS
+        assert dsl.term_bound("mustar", evaluate("CoSt(1/2,15)@rho")) == 2 ** 16
 
     def test_bound_sums_over_keys(self):
         x = zeta_key(ms(seg(0, 1), seg(3, 3))) + zeta_key(ms(seg(0, 2)))
         assert dsl.term_bound("D", x) == 4 + 2
         assert dsl.term_bound("mstar", x) == 3 * 2 + 4
         assert dsl.term_bound("Mstar", x) == 6 * 3 + 10
+        y = (
+            induced(ms(seg(0, 1), seg(3, 3)), StGenSymbol("rho", hi("1/2"), 1))
+            + induced(ms(seg(0, 2)), CoStGenSymbol("rho", hi("1/2"), 2))
+            + ClassElt.cusp()
+        )
+        assert dsl.term_bound("mustar", y) == 6 * 3 * 3 + 10 * 8 + 1
 
     @pytest.mark.parametrize("basis", [DELTA, ZETA])
     @pytest.mark.parametrize("b", [0, "1/2", -2, "-5/2"])
@@ -339,6 +365,11 @@ class TestTermBudget:
             # the coproduct count is exact; the twisted one can merge terms
             assert dsl.term_bound("mstar", x) == len(comult_key(key, basis).terms)
             assert dsl.term_bound("Mstar", x) >= len(twisted_comult(x).terms)
+            # a base atom's count is exact: its closed restriction's terms
+            for atom in (StGenSymbol, CoStGenSymbol):
+                base = atom("rho", hi(b), length - 1)
+                want = len(module_comult_base(base).terms)
+                assert dsl.term_bound("mustar", induced(EMPTY_MS, base)) == want
 
     def test_restrictions_past_the_cap(self):
         # one segment of length 100000 has 100001 coproduct terms
@@ -347,6 +378,21 @@ class TestTermBudget:
         # and one of length 446 up to 447 * 448 / 2 = 100128 twisted ones
         with pytest.raises(DslTypeError, match="Mstar could make up to 100128"):
             evaluate("Mstar(z[0,445]@rho)")
+        # St(a, n) restricts to n + 2 terms, CoSt(a, n) to 2^(n+1)
+        with pytest.raises(DslTypeError, match="mustar could make up to 100001"):
+            evaluate("mustar(St(1/2,99999)@rho)")
+        with pytest.raises(DslTypeError, match="mustar could make up to 131072"):
+            evaluate("mustar(CoSt(1/2,16)@rho)")
+        # a huge n is counted as 2^64 without computing 2^(n+1)
+        with pytest.raises(DslTypeError, match=f"mustar could make up to {2 ** 64} "):
+            evaluate(f"mustar(CoSt(1/2,{10 ** 40})@rho)")
+        # the GL part of each symbol counts as in Mstar: 15^5 for five [0,3]
+        factors = "*".join(["d[0,3]@rho"] * 5)
+        with pytest.raises(DslTypeError, match=f"up to {15 ** 5} terms"):
+            evaluate(f"mustar({factors} |x| sigma)")
+        # mw builds at most two new segments per exponent: 2 * 50001 here
+        with pytest.raises(DslTypeError, match="mw could make up to 100002 new"):
+            evaluate("mw(d[0,50000]@rho)")
 
     def test_positive_hd_is_not_bounded(self):
         # the fast path makes one term per key, however many segments
@@ -359,3 +405,65 @@ class TestTermBudget:
         signed = zeta_key(key) - zeta_key(key + ms(seg(40, 40)))
         with pytest.raises(DslTypeError, match="hd could make up to"):
             dsl._apply("hd", signed, Context())
+
+
+# (begin, length - 1) of a few short segments
+SEGMENT_SPECS = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(0, 2)), min_size=1, max_size=3
+)
+FRESH_LINES = (f"fresh{i}" for i in itertools.count())
+
+
+def segment_product(specs, line="rho", basis="d"):
+    return "*".join(f"{basis}[{b},{b + n}]@{line}" for b, n in specs)
+
+
+def checked_bounds(text):
+    """Evaluate ``text``; return the bounds it checked, by what they bound."""
+    with mock.patch.object(dsl, "_check_bound", wraps=dsl._check_bound) as spy:
+        evaluate(text)
+    return {call.args[0]: call.args[1] for call in spy.call_args_list}
+
+
+class TestBoundsCoverTheirCounts:
+    """Each bound is at least the count it bounds, on small inputs."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(SEGMENT_SPECS, st.booleans()), min_size=2, max_size=3))
+    def test_product(self, factors):
+        texts = [
+            f"D({segment_product(specs, basis='z')})" if d
+            else segment_product(specs, basis="z")
+            for specs, d in factors
+        ]
+        text = "*".join(texts)
+        assert checked_bounds(text)["'*'"] >= len(evaluate(text).terms)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(SEGMENT_SPECS, st.sampled_from(["sigma", "St", "CoSt"]),
+                      st.integers(0, 3)),
+            min_size=1, max_size=2,
+        )
+    )
+    def test_mustar(self, symbols):
+        atoms = {"St": StGenSymbol, "CoSt": CoStGenSymbol}
+        parts = [
+            induced(
+                Multisegment(seg(b, b + k) for b, k in specs),
+                atoms[kind]("rho", hi("1/2"), n) if kind in atoms else CuspSymbol(),
+            )
+            for specs, kind, n in symbols
+        ]
+        y = sum(parts[1:], parts[0])
+        assert dsl.term_bound("mustar", y) >= len(module_comult(y).terms)
+
+    @settings(max_examples=30, deadline=None)
+    @given(SEGMENT_SPECS)
+    def test_mw_new_segments(self, specs):
+        text = segment_product(specs, line=next(FRESH_LINES))
+        evaluate(text)  # enters the key's own segments
+        before = len(core._SEGMENTS)
+        bound = checked_bounds(f"mw({text})")["mw"]
+        assert bound >= len(core._SEGMENTS) - before

@@ -668,8 +668,11 @@ def random_multisegment(draw):
 
 def _highest_derivative_full(x: GLElt) -> GLElt:
     """The full route: expand the whole derivative, keep its lowest part."""
-    parts = derivative(x).graded_parts()
-    return parts[min(parts)] if parts else GLElt.zero(ZETA)
+    terms = derivative(x).terms
+    if not terms.coeffs:
+        return GLElt.zero(ZETA)
+    low = min(key.size for key in terms.coeffs)
+    return GLElt(ZETA, terms.filter_keys(lambda key: key.size == low))
 
 
 @st.composite

@@ -30,7 +30,6 @@ from cuspline.jantzen import (
     TemperedCombineError,
     TemperedProjectionError,
     TransportError,
-    canonical_tempered,
     combine_data,
     filtered_identity_sides,
     module_comult_filtered,
@@ -70,9 +69,6 @@ class TestLinePartition:
         assert P.lines(1) == frozenset({"rho"})
         assert P.lines(2) == frozenset({"tau"})
         assert P.other(1) == 2 and P.other(2) == 1
-        assert P.side_of("tau") == 2
-        with pytest.raises(PartitionError):
-            P.side_of("ups")
         with pytest.raises(PartitionError):
             P.lines(3)
 
@@ -142,7 +138,9 @@ class TestFilteredModuleRestriction:
         full = module_comult(y, CTX).terms
         for side in (1, 2):
             part = module_comult_filtered(y, P, side, CTX).terms
-            assert part.le(full)
+            # coefficientwise part <= full, a positivity statement
+            keys = set(part.coeffs) | set(full.coeffs)
+            assert all(part[k] <= full[k] for k in keys)
 
 
 class TestFilteredRingRestriction:
@@ -203,15 +201,19 @@ class TestTemperedProjection:
             project_datum(d, P, 1)
 
     def test_canonical_tempered_flattens(self):
+        # keeping every line leaves the canonical tempered symbol: nested
+        # induction labels flattened, empty ones dropped
         nested = IndTemp(
             (seg(-1, 1, "rho"),),
             IndTemp((seg("-1/2", "1/2", "tau"),), unit_temp()),
         )
-        flat = canonical_tempered(nested)
+        every = LinePartition(frozenset({"rho", "tau"}), frozenset())
+        flat = project_datum(LanglandsDatum(EMPTY_MS, nested), every, 1).temp
         assert flat == IndTemp(
             (seg(-1, 1, "rho"), seg("-1/2", "1/2", "tau")), unit_temp()
         )
-        assert canonical_tempered(IndTemp((), unit_temp())) == unit_temp()
+        empty = LanglandsDatum(EMPTY_MS, IndTemp((), unit_temp()))
+        assert project_datum(empty, every, 1).temp == unit_temp()
 
 
 class TestCombine:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuspline import clear_caches, subquotients
 from cuspline.core import (
-    DEFAULT_CONTEXT, EMPTY_MS, Context, Line, LineError, Segment, ms
+    DEFAULT_CONTEXT, EMPTY_MS, Context, Line, LineError, Multisegment, Segment, ms
 )
 from cuspline.classical import (
     CoStGenSymbol,
@@ -35,6 +35,7 @@ from cuspline.glhopf import _lowest_derivative_segment
 from cuspline.subquotients import (
     _frame,
     _key_supp,
+    _langlands_datum,
     _left_factors,
     _report,
     _supp,
@@ -50,13 +51,11 @@ from cuspline.subquotients import (
     UnsupportedDatumError,
     VERIFIED,
     aubert_pair,
-    chain_product,
     check_length_ge5,
     check_mult_le4,
     check_prop41,
     classify,
     enumerate_subquotients,
-    induced_split,
     verify_hd_identity,
     witness,
 )
@@ -68,6 +67,10 @@ def seg(b, e, line="rho"):
 
 def datum(alpha, n, cuts, bottom, line="rho", sigma="sigma"):
     return SubqDatum(line, sigma, hi(alpha), n, tuple(cuts), bottom)
+
+
+def langlands_datum(d):
+    return _langlands_datum(d, d.blocks(), d.bottom)
 
 
 CASE_A_1 = datum("1/2", 1, (False,), False)           # single long block
@@ -141,12 +144,12 @@ class TestClassification:
 
     def test_langlands_datum_of_bottom_attached(self):
         d = datum(1, 2, (True, False), True)  # blocks [2,3],[1] with bottom [1]
-        ld = d.langlands_datum()
+        ld = langlands_datum(d)
         assert ld.gl == ms(seg(2, 3))
         assert ld.temp == TempBase(StGenSymbol("rho", hi(1), 0))
 
     def test_langlands_datum_of_list_only(self):
-        ld = CASE_A_1.langlands_datum()
+        ld = langlands_datum(CASE_A_1)
         assert ld.gl == ms(seg("1/2", "3/2"))
         assert ld.temp == TempBase(CuspSymbol())
 
@@ -166,7 +169,8 @@ class TestAubertPair:
         # On interval tilings the involution label rule agrees with the
         # combinatorial dual of the full tiling key.
         for d in enumerate_subquotients(2, 4):
-            assert mw_dual(d.full_key()) == aubert_pair(d).full_key()
+            full = Multisegment(d.blocks())
+            assert mw_dual(full) == Multisegment(aubert_pair(d).blocks())
 
     def test_extremes_swap(self):
         gen = datum(1, 2, (False, False), True)
@@ -175,15 +179,12 @@ class TestAubertPair:
 
 class TestSplitAndChain:
     def test_induced_split_states(self):
-        off, on = induced_split(CASE_B_1)
+        # (full Langlands list) |x| sigma has exactly two constituents: the
+        # two flag states of the same tiling, of the same degree
+        off, on = (replace(CASE_B_1, bottom=flag) for flag in (False, True))
         assert off.bottom is False and on.bottom is True
         assert off.cuts == on.cuts == CASE_B_1.cuts
-
-    def test_chain_product_key(self):
-        y = chain_product("1/2", 2)
-        (sym,) = y.terms.coeffs
-        assert sym.gl == ms(seg("1/2", "1/2"), seg("3/2", "3/2"), seg("5/2", "5/2"))
-        assert isinstance(sym.base, CuspSymbol)
+        assert langlands_datum(off).degree == langlands_datum(on).degree == 3
 
 
 class TestWitness:
@@ -439,8 +440,10 @@ class TestPerKeyMemos:
             if f.tag is not CaseTag.CASE_B:
                 continue
             for s in ms(f.sym) + f.full:
-                parts = derivative(zeta_key(ms(s))).graded_parts()
-                assert _lowest_derivative_segment(s) == parts[min(parts)].terms, s
+                terms = derivative(zeta_key(ms(s))).terms
+                low = min(key.size for key in terms.coeffs)
+                lowest = terms.filter_keys(lambda key: key.size == low)
+                assert _lowest_derivative_segment(s) == lowest, s
 
 
 _CHECKS = (check_prop41, check_length_ge5, check_mult_le4)
