@@ -11,8 +11,9 @@ bookkeeping has a closed form:
 * ``CoStGenSymbol``    -- its co-version (the Langlands-quotient family with
   the same support).
 
-Base and induced symbols are hash-consed, as multisegments are (through
-``core.hash_cons``): every constructor, ``dataclasses.replace`` and unpickling
+Base and induced symbols are hash-consed, as multisegments are (base
+symbols through ``core.hash_cons``, induced symbols through their own
+slotted miss path): every constructor, ``dataclasses.replace`` and unpickling
 return the one live object for a value, so ``==`` and ``hash`` are the C-level
 identity ones and a (multisegment, induced symbol) key hashes in C.
 
@@ -28,7 +29,8 @@ arguments need.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from .core import (
     Context,
@@ -39,6 +41,8 @@ from .core import (
     LinearElt,
     Multisegment,
     Segment,
+    _enter,
+    _new,
     hash_cons,
     ms,
     seg_opt,
@@ -172,7 +176,10 @@ class CoStGenSymbol(_SteinbergAtom):
     _TAG, _PREFIX = 2, "CoSt"
 
 
-BaseSymbol = Union[CuspSymbol, StGenSymbol, CoStGenSymbol]
+# PEP 604 unions: ``typing.Union[...]`` would be kept in ``typing``'s own
+# cache, and through these classes it would keep this module's globals, and
+# every table and cache in them, alive after the package is imported again
+BaseSymbol = CuspSymbol | StGenSymbol | CoStGenSymbol
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +188,27 @@ BaseSymbol = Union[CuspSymbol, StGenSymbol, CoStGenSymbol]
 
 @dataclass(frozen=True, eq=False, init=False)
 class InducedSymbol:
-    """A GL multisegment (delta semantics) induced against a base symbol."""
+    """A GL multisegment (delta semantics) induced against a base symbol.
 
+    Slotted, with no ``__dict__``.  Most symbols of the module restriction
+    die with their item and are made again, so a miss of the intern table
+    is kept short: one lookup, a bare object, its two slots set through
+    their descriptors and its entry in the table."""
+
+    __slots__ = ("gl", "base", "__weakref__")
     gl: Multisegment
     base: BaseSymbol
 
     def __new__(cls, gl: Multisegment, base: BaseSymbol):
-        ref = _SYMBOLS.get((gl, base))  # the hit path, inline: most calls
-        return ref and ref() or hash_cons(_SYMBOLS, (gl, base), cls, gl=gl, base=base)
+        key = (gl, base)
+        ref = _SYMBOLS.get(key)
+        out = ref and ref()
+        if out is None:
+            out = _new(cls)
+            _SET_GL(out, gl)
+            _SET_BASE(out, base)
+            _enter(_SYMBOLS, key, out)
+        return out
 
     def __reduce__(self):
         return (InducedSymbol, (self.gl, self.base))
@@ -216,6 +236,11 @@ class InducedSymbol:
 
     def to_jsonable(self) -> dict:
         return {"gl": self.gl.to_jsonable(), "base": self.base.to_jsonable()}
+
+
+# the slots' own setters, past the frozen ``__setattr__``
+_SET_GL = InducedSymbol.gl.__set__
+_SET_BASE = InducedSymbol.base.__set__
 
 
 class ClassElt(LinearElt):
@@ -302,12 +327,26 @@ def module_comult_base(base: BaseSymbol) -> TensorClass:
     raise TypeError(f"unknown base symbol {base!r}")
 
 
+@lru_cache(maxsize=8192)
+def _left_sum(l: Multisegment, bl: Multisegment) -> Multisegment:
+    """``l + bl`` for a twisted left factor ``l`` and a nonempty base left
+    factor ``bl``: a memo of multisegments only, bounded, that
+    ``clear_caches`` empties.  The same pairs recur from item to item, and
+    the memo keeps each sum (and its ``l``) alive between them instead of
+    dropping it from the intern table and making it again.  It holds no
+    symbol, so every induced symbol still dies with the last element that
+    holds it."""
+    return l + bl
+
+
 def module_comult(y: ClassElt, ctx: Context = DEFAULT_CONTEXT) -> TensorClass:
     """mu*(GL part |x| base) = (twisted coproduct of GL part) acting on mu*(base):
     a twisted term (l, r) and a base term (bl, br), whose ``br`` has the empty
-    GL part, give (l + bl, r |x| br.base), built once per r and br."""
+    GL part, give (l + bl, r |x| br.base), built once per r and br.  A sum
+    with a nonempty ``bl`` is read from the bounded memo ``_left_sum``."""
     out: dict = {}
     get = out.get
+    left_sum = _left_sum
     for sym, c in y.terms.coeffs.items():
         by_right: dict = {}
         for (l, r), tc in twisted_comult(delta_key(sym.gl), ctx).terms.coeffs.items():
@@ -317,7 +356,7 @@ def module_comult(y: ClassElt, ctx: Context = DEFAULT_CONTEXT) -> TensorClass:
             for r, lefts in by_right.items():
                 right = InducedSymbol(r, base)
                 for l, tc in lefts:
-                    key = (l if empty else l + bl, right)
+                    key = (l if empty else left_sum(l, bl), right)
                     out[key] = get(key, 0) + cb * tc
     return TensorClass(FormalSum._clean(out))
 
@@ -516,7 +555,7 @@ class IndTemp:
         }
 
 
-TemperedSymbol = Union[TempBase, TauPM, DeltaPM, IndTemp]
+TemperedSymbol = TempBase | TauPM | DeltaPM | IndTemp  # PEP 604, as BaseSymbol
 
 
 def temp_sigma(t: TemperedSymbol) -> str:
@@ -575,7 +614,7 @@ def contragredient_datum(d: LanglandsDatum, ctx: Context = DEFAULT_CONTEXT) -> L
     return LanglandsDatum(d.gl, _flip_sigma(d.temp), d.dualized)
 
 
-def _flip_sigma(t: Union[TemperedSymbol, BaseSymbol]) -> Union[TemperedSymbol, BaseSymbol]:
+def _flip_sigma(t: TemperedSymbol | BaseSymbol) -> TemperedSymbol | BaseSymbol:
     """A tempered or base symbol with its sigma label dualized."""
     if isinstance(t, TempBase):
         return TempBase(_flip_sigma(t.base))

@@ -153,12 +153,30 @@ def hash_cons(table: Dict[Hashable, _Ref], key: Hashable, cls: type, **fields):
 # ---------------------------------------------------------------------------
 
 def _primes() -> Iterator[int]:
-    """2, 3, 5, 7, ...: each n tried against the primes up to its root."""
-    found: list = []
-    for n in itertools.count(2):
-        if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, found)):
-            found.append(n)
-            yield n
+    """2, 3, 5, 7, ...: an incremental sieve of Eratosthenes over the odd
+    numbers.  ``crossed`` maps the next odd multiple still to be crossed off
+    of each odd prime p to its step 2p.  A prime enters when the candidates
+    reach its square, and is read from a second copy of this sequence, so
+    the table holds only the primes up to the root of the candidate."""
+    yield from (2, 3, 5, 7)
+    crossed: Dict[int, int] = {}
+    roots = _primes()
+    next(roots)
+    p = next(roots)  # 3: the next prime whose multiples are not yet crossed
+    square = p * p
+    for n in itertools.count(9, 2):
+        step = crossed.pop(n, None)
+        if step is None:
+            if n < square:
+                yield n
+                continue
+            step = 2 * p  # n is p's square: start crossing off p's multiples
+            p = next(roots)
+            square = p * p
+        n += step
+        while n in crossed:
+            n += step
+        crossed[n] = step
 
 
 # (b.num2, e.num2, line) -> the one segment of that value: grows with the
@@ -424,8 +442,12 @@ class FormalSum(Generic[K]):
 
     @staticmethod
     def _clean(coeffs: Dict[K, int]) -> "FormalSum[K]":
-        """Trusted except for zeros, which are stripped here."""
-        return FormalSum._raw({k: c for k, c in coeffs.items() if c != 0})
+        """Trusted except for zeros, which are stripped here.  Every caller
+        hands over a dict it made and drops, so one with no zero, the usual
+        case, is kept as it is; one with a zero is rebuilt in its order."""
+        if 0 in coeffs.values():
+            coeffs = {k: c for k, c in coeffs.items() if c != 0}
+        return FormalSum._raw(coeffs)
 
     # -- constructors ------------------------------------------------------
     @staticmethod

@@ -24,11 +24,13 @@ ill-typed operations (mixed bases, wrong side of ``|x|``) raise
 interpreter stack's edge, and past either one the input is a syntax error:
 an expression has at most ``MAX_LENGTH`` (10000) characters, and at most
 ``MAX_NESTING`` (100) levels of parentheses, function calls and ``|x|``
-right operands nested inside one another.  A product of any length is one
-flat ``Prod`` node, evaluated in a loop.  A function or a ``*`` product
-that could make more than ``MAX_TERMS`` (100000) terms, and an ``mw`` that
-could build more than ``MAX_TERMS`` new segments, is a type error before
-it expands.
+right operands nested inside one another.  A number of more than
+``MAX_DIGITS`` (1000) digits is a syntax error too, so that every value made
+from one still converts to text.  A product of any length is one flat
+``Prod`` node, evaluated in a loop.  A function or a ``*`` product that
+could make more than ``MAX_TERMS`` (100000) terms, and an ``mw`` that could
+build more than ``MAX_TERMS`` new segments, is a type error before it
+expands.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import prod
 from operator import mul
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from .core import Context, CusplineError, DEFAULT_CONTEXT, EMPTY_MS, Segment, ms
 from .halfint import HalfInt
@@ -181,13 +183,16 @@ class Call:
     pos: int
 
 
-Expr = Union[SegAtom, BaseAtom, SigmaAtom, Prod, Induce, Call]
+# PEP 604, as classical.BaseSymbol: a ``typing.Union`` would keep these
+# classes, and this module with them, alive in ``typing``'s cache
+Expr = SegAtom | BaseAtom | SigmaAtom | Prod | Induce | Call
 
 FUNCTIONS = ("mstar", "Mstar", "mustar", "mw", "dual", "D", "hd")
 
 MAX_LENGTH = 10_000
 MAX_NESTING = 100
 MAX_TERMS = 100_000
+MAX_DIGITS = 1000  # far below Python's limit on int-to-text conversion (4300)
 
 # Terms each expanding function makes from one segment of a given length.
 _SEGMENT_TERMS = {
@@ -252,12 +257,20 @@ class _Parser:
             return Call(tok.text, arg, tok.pos)
         return self.parse_atom()
 
+    def parse_number(self, expected: str) -> Token:
+        tok = self.expect("number", (expected,))
+        digits = len(tok.text.lstrip("-").partition("/")[0])
+        if digits > MAX_DIGITS:
+            raise DslSyntaxError(
+                f"number of {digits} digits, more than {MAX_DIGITS}", tok.pos
+            )
+        return tok
+
     def parse_half(self) -> HalfInt:
-        tok = self.expect("number", ("a number",))
-        return HalfInt.parse(tok.text)
+        return HalfInt.parse(self.parse_number("a number").text)
 
     def parse_int(self) -> int:
-        tok = self.expect("number", ("an integer",))
+        tok = self.parse_number("an integer")
         if "/" in tok.text:
             raise DslSyntaxError(
                 f"found fraction {tok.text!r}", tok.pos, ("an integer",)
@@ -330,7 +343,7 @@ def parse(text: str) -> Expr:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-Value = Union[GLElt, ClassElt, TensorGL, TensorClass]
+Value = GLElt | ClassElt | TensorGL | TensorClass  # PEP 604, as Expr
 
 
 def _type_name(v: Value) -> str:
@@ -427,7 +440,7 @@ def _base_terms(base) -> int:
     return 1
 
 
-def term_bound(fn: str, x: Union[GLElt, ClassElt]) -> int:
+def term_bound(fn: str, x: GLElt | ClassElt) -> int:
     """An upper bound on the number of terms ``fn`` makes from ``x``: the
     sum over its keys of the product of the one-segment counts.  For
     ``mustar``, each symbol's GL part counts as in ``Mstar``, times its
@@ -443,8 +456,11 @@ def term_bound(fn: str, x: Union[GLElt, ClassElt]) -> int:
 
 def _check_bound(what: str, bound: int, made: str = "terms") -> None:
     if bound > MAX_TERMS:
+        # a bound over 10^40 is not printed: it would not help, and past
+        # 4300 digits Python refuses to convert it to text
+        up_to = f"up to {bound}" if bound <= 10 ** 40 else "over 10^40"
         raise DslTypeError(
-            f"{what} could make up to {bound} {made}, more than {MAX_TERMS}"
+            f"{what} could make {up_to} {made}, more than {MAX_TERMS}"
         )
 
 

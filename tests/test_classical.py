@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspline import classical, clear_caches, sampling
+from cuspline import classical, clear_caches, core, sampling
 from cuspline.core import (
     Context,
     EMPTY_MS,
@@ -237,6 +237,23 @@ def module_comult_by_combine(y: ClassElt) -> TensorClass:
     return TensorClass(y.terms.bind(restrict))
 
 
+def module_comult_unmemoized(y: ClassElt) -> dict:
+    """``module_comult``'s loops with every ``l + bl`` made afresh and the
+    zero terms dropped by hand: its terms in the order they come."""
+    out: dict = {}
+    for sym, c in y.terms.coeffs.items():
+        by_right: dict = {}
+        for (l, r), tc in twisted_comult(delta_key(sym.gl)).terms.coeffs.items():
+            by_right.setdefault(r, []).append((l, tc))
+        for (bl, br), bc in module_comult_base(sym.base).terms.coeffs.items():
+            for r, lefts in by_right.items():
+                right = InducedSymbol(r, br.base)
+                for l, tc in lefts:
+                    key = (l + bl, right)
+                    out[key] = out.get(key, 0) + c * bc * tc
+    return {k: c for k, c in out.items() if c != 0}
+
+
 @st.composite
 def base_symbols(draw):
     """A cusp, StGen or CoStGen base with n <= 3 on one of two lines."""
@@ -256,6 +273,32 @@ def module_elements(draw):
         gl = sampling.random_multisegment(rng, ("rho", "tau"), 2, window=2, max_length=2)
         sym = InducedSymbol(gl, draw(base_symbols()))
         terms[sym] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return ClassElt(FormalSum(terms))
+
+
+@st.composite
+def overlapping_module_elements(draw):
+    """One to three symbols over one point a of one line, with signed
+    coefficients, that often cancel: d[a] |x| B and d[-a] |x| B restrict to
+    shared terms (the left factors d[a] and d[-a] of both twisted
+    restrictions), so the first symbol is often drawn with its mirror and
+    the opposite sign."""
+    line = draw(st.sampled_from(["rho", "tau"]))
+    a = hi(draw(st.sampled_from(["1/2", 1])))
+    points = [ms(seg(a, a, line)), ms(seg(-a, -a, line))]
+
+    def base():
+        kind = draw(st.sampled_from([CuspSymbol, StGenSymbol, CoStGenSymbol]))
+        return CuspSymbol() if kind is CuspSymbol else kind(line, a, draw(st.integers(0, 1)))
+
+    first, c = draw(st.sampled_from([0, 1])), draw(st.sampled_from([-1, 1]))
+    b = base()
+    terms = {InducedSymbol(points[first], b): c}
+    if draw(st.booleans()):
+        terms[InducedSymbol(points[1 - first], b)] = -c
+    if draw(st.booleans()):
+        gl = draw(st.sampled_from([EMPTY_MS] + points))
+        terms[InducedSymbol(gl, base())] = draw(st.sampled_from([-2, -1, 1, 2]))
     return ClassElt(FormalSum(terms))
 
 
@@ -282,6 +325,45 @@ class TestModuleComultAssembly:
         got = module_comult(y)
         assert got == module_comult_by_combine(y)
         assert shared not in got.terms.coeffs and len(got.terms) == 3
+
+    @given(st.one_of(module_elements(), overlapping_module_elements()))
+    @settings(max_examples=150, deadline=None)
+    def test_cold_and_warm_memo_keep_the_unmemoized_terms_in_order(self, y):
+        # the memo of the sums l + bl changes no term and no term's place,
+        # whether it starts empty or already holds this element's sums
+        want = list(module_comult_unmemoized(y).items())
+        clear_caches()
+        assert list(module_comult(y).terms.coeffs.items()) == want
+        assert list(module_comult(y).terms.coeffs.items()) == want
+
+    def test_the_left_sum_memo_is_bounded_and_cleared(self):
+        y = ClassElt.key(InducedSymbol(ms(seg(0, 1)), StGenSymbol("rho", hi(1), 2)))
+        module_comult(y)
+        info = classical._left_sum.cache_info()
+        assert info.maxsize == 8192 and info.currsize > 0
+        clear_caches()
+        assert classical._left_sum.cache_info().currsize == 0
+
+    def test_the_memo_keeps_its_sums_until_the_caches_are_cleared(self):
+        # a sum l + bl holds segments of both lines here: the twisted left
+        # factors are on memo-a and the base's left factors on memo-b
+        def sums_held() -> int:
+            values = (ref() for ref in core._INTERNED.values())
+            return sum(m is not None and {s.line for s in m} == {"memo-a", "memo-b"}
+                       for m in values)
+
+        clear_caches()
+        gc.collect()
+        assert sums_held() == 0
+        sym = InducedSymbol(ms(seg(0, 1, "memo-a")), StGenSymbol("memo-b", hi(1), 2))
+        assert sums_held() == 0
+        module_comult(ClassElt.key(sym))
+        del sym
+        gc.collect()
+        assert sums_held() > 0  # only the memo holds them now
+        clear_caches()
+        gc.collect()
+        assert sums_held() == 0
 
     def test_right_symbols_of_the_bases_have_the_empty_gl_part(self):
         # the loop pairs a twisted right key with the base symbol alone
@@ -618,3 +700,15 @@ class TestInducedSymbolShape:
         assert sym.gl is gl and sym.base is base
         assert repr(sym) == f"InducedSymbol(gl={gl!r}, base={base!r})"
         assert str(sym) == f"{gl} |x| {base}"
+
+    def test_a_new_symbol_is_slotted_and_pickles(self):
+        base = CuspSymbol("slotted-symbol")
+        gl = ms(seg(0, 1), seg(2, 2, "tau"))
+        assert interned_over("slotted-symbol") == 1  # the base alone: a miss follows
+        sym = InducedSymbol(gl, base)
+        assert not hasattr(sym, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sym.gl = EMPTY_MS
+        assert repr(sym) == f"InducedSymbol(gl={gl!r}, base={base!r})"
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(sym, protocol)) is sym

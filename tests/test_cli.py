@@ -571,6 +571,33 @@ class TestInputGuards:
 
     @pytest.mark.parametrize(
         "text",
+        ["d[0,1" + "0" * 5000 + "]@rho", "Mstar(z[0,1" + "0" * 3000 + "]@rho)",
+         "St(1/2," + "1" * (dsl.MAX_DIGITS + 1) + ")@rho"],
+        ids=["5001-digits", "3001-digits", "cap-plus-one"],
+    )
+    def test_number_past_the_digit_cap_exit_2(self, capsys, text):
+        code, out, err = run(capsys, "eval", text)
+        assert code == 2 and out == ""
+        assert f"digits, more than {dsl.MAX_DIGITS}" in err and len(err) < 100
+
+    def test_number_at_the_digit_cap_prints_as_json(self, capsys):
+        big = "9" * dsl.MAX_DIGITS
+        code, out, _ = run(capsys, "eval", "--json", f"d[-{big},{big}]@rho")
+        assert code == 0
+        [term] = json.loads(out)["result"]["terms"]
+        [segment] = term["key"]["segments"]
+        assert segment["e"] == {"num2": 2 * int(big)}
+
+    def test_bound_too_long_to_print_exit_2(self, capsys):
+        # three segments of about 10^1000 points: a bound of about 10^6000
+        big = "9" * dsl.MAX_DIGITS
+        text = "Mstar(" + " * ".join([f"z[0,{big}]@rho"] * 3) + ")"
+        code, out, err = run(capsys, "eval", text)
+        assert code == 2 and out == ""
+        assert f"Mstar could make over 10^40 terms, more than {dsl.MAX_TERMS}" in err
+
+    @pytest.mark.parametrize(
+        "text",
         [
             "mustar( " + " * ".join(["d[0,3]@rho"] * 8) + " |x| sigma )",
             "mustar( " + " * ".join(["d[0,3]@rho"] * 9) + " |x| sigma )",

@@ -498,6 +498,15 @@ class TestPrimeSignatures:
         ids = sorted(s._id for s in core._SEGMENTS.values())
         assert ids == list(itertools.islice(core._primes(), len(ids)))
 
+    def test_prime_ids_match_trial_division(self):
+        found: list = []
+        n = 1
+        while len(found) < 20_000:
+            n += 1
+            if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, found)):
+                found.append(n)
+        assert list(itertools.islice(core._primes(), len(found))) == found
+
     def test_removing_an_absent_segment_raises_and_enters_nothing(self):
         m = ms(seg(0, 1, "absent-a"), seg(2, 2, "absent-a"), seg(2, 2, "absent-a"))
         held = (m, m.remove(seg(2, 2, "absent-a")), EMPTY_MS)
@@ -529,6 +538,21 @@ sys.stdout.buffer.write(pickle.dumps((made, m, InducedSymbol(m, CuspSymbol("xp")
 """
 
 
+# Run in a second interpreter: a copy of the package that is imported again
+# must leave nothing of the previous copy alive (nothing outside the package
+# may hold its classes, and through them its tables and caches).
+REIMPORT = """
+import gc, sys, weakref
+import cuspline
+old = weakref.ref(cuspline.core.Multisegment)
+for name in [m for m in sys.modules if m == "cuspline" or m.startswith("cuspline.")]:
+    del sys.modules[name]
+import cuspline
+gc.collect()
+sys.exit(old() is not None)
+"""
+
+
 class TestCrossProcessIdentity:
     def test_values_pickled_in_another_process_are_the_local_ones(self):
         from cuspline.classical import CuspSymbol, InducedSymbol
@@ -556,6 +580,14 @@ class TestCrossProcessIdentity:
         assert all(m is not ms(*local[:k]) for k in range(len(local) + 1))
         assert sym is InducedSymbol(want, CuspSymbol("xp"))
         assert sym is not InducedSymbol(want.remove(seg(1, 1, "xp-a")), CuspSymbol("xp"))
+
+    def test_a_reimported_package_frees_the_previous_copy(self):
+        src = str(Path(core.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run([sys.executable, "-c", REIMPORT], env=env, timeout=120)
+        assert proc.returncode == 0
 
 
 class TestFormalSum:
