@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from cuspline.core import Context, CusplineError, DEFAULT_CONTEXT
-from cuspline.halfint import HalfInt, hi
-from cuspline.cli import load_context
+from cuspline.halfint import HalfInt
+from cuspline.cli import load_context, parse_alpha
 from cuspline.subquotients import (
     EXTREMES,
+    MAX_ALPHA,
     MAX_CHAIN_LENGTH,
     check_prop41,
     classify,
@@ -56,7 +57,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> SweepConfig:
     parser.add_argument(
         "--alphas",
         default="1/2,1,3/2",
-        help="comma-separated reducibility points (default: 1/2,1,3/2)",
+        help=f"comma-separated reducibility points, each at most {MAX_ALPHA}"
+        " (default: 1/2,1,3/2)",
     )
     parser.add_argument(
         "--n",
@@ -78,7 +80,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> SweepConfig:
     )
     args = parser.parse_args(argv)
     try:
-        alphas = tuple(hi(HalfInt.parse(a.strip())) for a in args.alphas.split(","))
+        alphas = tuple(parse_alpha(a) for a in args.alphas.split(","))
         n_values = tuple(int(n.strip()) for n in args.n.split(","))
     except ValueError as exc:
         parser.error(str(exc))

@@ -38,6 +38,7 @@ from .core import (
     DEFAULT_CONTEXT,
     EMPTY_MS,
     FormalSum,
+    JsonForm,
     LinearElt,
     Multisegment,
     Segment,
@@ -81,7 +82,7 @@ _SYMBOLS: Dict[tuple, object] = {}  # key -> weak reference
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class CuspSymbol:
+class CuspSymbol(JsonForm):
     sigma: str  # defaults in __new__, the one constructor
 
     def __new__(cls, sigma: str = "sigma"):
@@ -106,12 +107,11 @@ class CuspSymbol:
     def __str__(self) -> str:
         return self.sigma
 
-    def to_jsonable(self) -> dict:
-        return {"kind": "cusp", "sigma": self.sigma}
+    _JSON_KIND, _JSON_FIELDS = "cusp", ("sigma",)
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class _SteinbergAtom:
+class _SteinbergAtom(JsonForm):
     """The body shared by the two Steinberg-type atoms on [a, a+n] over sigma.
 
     Subclasses set ``_TAG`` (their rank in ``sort_key``) and ``_PREFIX`` (the
@@ -154,26 +154,19 @@ class _SteinbergAtom:
     def __str__(self) -> str:
         return f"{self._PREFIX}([{self.a},{self.a + self.n}]@{self.line};{self.sigma})"
 
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": f"{self._PREFIX.lower()}gen",
-            "line": self.line,
-            "a": self.a.to_jsonable(),
-            "n": self.n,
-            "sigma": self.sigma,
-        }
+    _JSON_FIELDS = ("line", "a", "n", "sigma")
 
 
 class StGenSymbol(_SteinbergAtom):
     """Generalized Steinberg atom on [a, a+n] over sigma."""
 
-    _TAG, _PREFIX = 1, "St"
+    _TAG, _PREFIX, _JSON_KIND = 1, "St", "stgen"
 
 
 class CoStGenSymbol(_SteinbergAtom):
     """The co-Steinberg atom: the Langlands-quotient counterpart of StGen."""
 
-    _TAG, _PREFIX = 2, "CoSt"
+    _TAG, _PREFIX, _JSON_KIND = 2, "CoSt", "costgen"
 
 
 # PEP 604 unions: ``typing.Union[...]`` would be kept in ``typing``'s own
@@ -187,7 +180,7 @@ BaseSymbol = CuspSymbol | StGenSymbol | CoStGenSymbol
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False, init=False)
-class InducedSymbol:
+class InducedSymbol(JsonForm):
     """A GL multisegment (delta semantics) induced against a base symbol.
 
     Slotted, with no ``__dict__``.  Most symbols of the module restriction
@@ -234,8 +227,7 @@ class InducedSymbol:
             return str(self.base)
         return f"{self.gl} |x| {self.base}"
 
-    def to_jsonable(self) -> dict:
-        return {"gl": self.gl.to_jsonable(), "base": self.base.to_jsonable()}
+    _JSON_FIELDS = ("gl", "base")
 
 
 # the slots' own setters, past the frozen ``__setattr__``
@@ -423,7 +415,7 @@ def identify_point_of_reducibility(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TempBase:
+class TempBase(JsonForm):
     """A base symbol in tempered position (sigma itself or a Steinberg atom)."""
 
     base: BaseSymbol
@@ -441,12 +433,11 @@ class TempBase:
     def __str__(self) -> str:
         return str(self.base)
 
-    def to_jsonable(self) -> dict:
-        return {"kind": "temp-base", "base": self.base.to_jsonable()}
+    _JSON_KIND, _JSON_FIELDS = "temp-base", ("base",)
 
 
 @dataclass(frozen=True)
-class TauPM:
+class TauPM(JsonForm):
     """One of the two tempered summands of (symmetric segment) x sigma."""
 
     line: str
@@ -473,18 +464,11 @@ class TauPM:
         s = "+" if self.sign > 0 else "-"
         return f"tau([-{self.half},{self.half}]@{self.line},{s};{self.sigma})"
 
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": "tau-pm",
-            "line": self.line,
-            "half": self.half.to_jsonable(),
-            "sign": self.sign,
-            "sigma": self.sigma,
-        }
+    _JSON_KIND, _JSON_FIELDS = "tau-pm", ("line", "half", "sign", "sigma")
 
 
 @dataclass(frozen=True)
-class DeltaPM:
+class DeltaPM(JsonForm):
     """One of the two square-integrable subsymbols of (segment) x sigma."""
 
     seg: Segment
@@ -509,17 +493,17 @@ class DeltaPM:
         s = "+" if self.sign > 0 else "-"
         return f"delta({self.seg},{s};{self.sigma})"
 
-    def to_jsonable(self) -> dict:
+    def _json_fields(self) -> dict:
         return {
             "kind": "delta-pm",
-            "segment": self.seg.to_jsonable(),
+            "segment": self.seg,
             "sign": self.sign,
             "sigma": self.sigma,
         }
 
 
 @dataclass(frozen=True)
-class IndTemp:
+class IndTemp(JsonForm):
     """Tempered induction label: symmetric segments over an inner tempered symbol."""
 
     segs: Tuple[Segment, ...]
@@ -547,11 +531,11 @@ class IndTemp:
         inside = " x ".join(str(s) for s in self.segs)
         return f"temp({inside} |x| {self.inner})"
 
-    def to_jsonable(self) -> dict:
+    def _json_fields(self) -> dict:
         return {
             "kind": "ind-temp",
-            "segments": [s.to_jsonable() for s in self.segs],
-            "inner": self.inner.to_jsonable(),
+            "segments": self.segs,
+            "inner": self.inner,
         }
 
 
@@ -568,7 +552,7 @@ def temp_sigma(t: TemperedSymbol) -> str:
 
 
 @dataclass(frozen=True)
-class LanglandsDatum:
+class LanglandsDatum(JsonForm):
     """(multisegment with strictly positive centers; tempered symbol).
 
     ``dualized`` marks a certificate transported through the duality
@@ -600,8 +584,8 @@ class LanglandsDatum:
         body = f"L({self.gl}; {self.temp})"
         return f"dual[{body}]" if self.dualized else body
 
-    def to_jsonable(self) -> dict:
-        out = {"gl": self.gl.to_jsonable(), "temp": self.temp.to_jsonable()}
+    def _json_fields(self) -> dict:
+        out = {"gl": self.gl, "temp": self.temp}
         if self.dualized:
             out["dualized"] = True
         return out

@@ -24,13 +24,15 @@ import json
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .core import Context, CusplineError, DEFAULT_CONTEXT, Line
+from .core import Context, CusplineError, DEFAULT_CONTEXT, Line, Multisegment, Segment
 from .glhopf import GLElt
-from .halfint import HalfInt
+from .halfint import HalfInt, hi
 from .classical import ClassElt
 from .subquotients import (
     EXTREMES,
+    MAX_ALPHA,
     MAX_CHAIN_LENGTH,
+    CertStep,
     SubqDatum,
     UnsupportedDatumError,
     check_length_ge5,
@@ -47,7 +49,7 @@ from .jantzen import (
     twisted_comult_filtered,
 )
 from .criteria import GenericDatum, MalformedDatumError, generic_unitarizable
-from .dsl import DslTypeError, evaluate
+from .dsl import MAX_DIGITS, DslTypeError, evaluate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -103,7 +105,7 @@ def parse_context(text: str) -> Context:
                 alpha[line_id] = None
             else:
                 try:
-                    alpha[line_id] = HalfInt.parse(value)
+                    alpha[line_id] = parse_alpha(value)
                 except ValueError as exc:
                     raise ContextFileError(f"line {lineno}: {exc}") from exc
         else:
@@ -145,30 +147,75 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, with strings escaped
-    in C: given ``indent``, ``json.dumps`` runs its pure-Python encoder.  A
-    library object is written as its ``to_jsonable()``."""
+    """``json.dumps(jsonable(value), sort_keys=True, indent=2)``, written
+    here, with strings escaped in C (given ``indent``, ``json.dumps`` runs its
+    pure-Python encoder).  A library value is written from its shallow
+    ``_json_fields()``; ``indent`` is the newline and indentation of the
+    depth being written.  The text of a value of a ``_REPEATED`` type comes
+    from ``_repeated_text``, at depth 0, with each newline replaced by
+    ``indent``: that is exact because every newline inside a string is
+    escaped, so the only newlines are indentation."""
     kind = type(value)
     if kind is str:
         return _encode_str(value)
     if kind is int:
         return int.__repr__(value)
+    if kind in _REPEATED:
+        text = _repeated_text(value)
+        return text if indent == "\n" else text.replace("\n", indent)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    fields = getattr(value, "_json_fields", None)
+    if fields is not None:
+        value = fields()
     inner = indent + "  "
-    if isinstance(value, dict) and value:
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
         items = [f"{_encode_str(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)) and value:
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
         items = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    to_jsonable = getattr(value, "to_jsonable", None)
-    if to_jsonable is not None:
-        return _json_text(to_jsonable(), indent)
-    return json.dumps(value)  # bools, None, empty containers; TypeError otherwise
+    return json.dumps(value)  # floats; TypeError for what JSON cannot hold
 
 
-def _halfint_arg(text: str) -> HalfInt:
+# The types whose values recur across the documents of a process (a sweep's
+# segments, multisegments, exponents and certificate steps), so that
+# ``_json_text`` writes each value's text once.  Reports and Langlands data
+# are left out: they hardly repeat, and their texts are large.
+_REPEATED = frozenset((Segment, Multisegment, HalfInt, CertStep))
+
+
+@functools.lru_cache(maxsize=4096)
+def _repeated_text(value) -> str:
+    """The depth-0 ``_json_text`` of a ``_REPEATED`` value: a bounded memo
+    that ``cuspline.clear_caches()`` empties."""
+    return _json_text(value._json_fields())
+
+
+def parse_alpha(text: str) -> HalfInt:
+    """A reducibility exponent written as ``2``, ``-1`` or ``5/2``, as
+    ``--alpha`` and a context file give it.  ValueError for a number of more
+    than ``dsl.MAX_DIGITS`` digits and for a value above ``MAX_ALPHA``."""
+    digits = sum(map(str.isdigit, text.partition("/")[0]))
+    if digits > MAX_DIGITS:
+        raise ValueError(f"number of {digits} digits, more than {MAX_DIGITS}")
+    alpha = HalfInt.parse(text)
+    if alpha > hi(MAX_ALPHA):
+        raise ValueError(f"alpha must be at most {MAX_ALPHA}, got {text.strip()}")
+    return alpha
+
+
+def _alpha_arg(text: str) -> HalfInt:
     try:
-        return HalfInt.parse(text)
+        return parse_alpha(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -201,7 +248,7 @@ def _cuts_arg(text: str) -> Tuple[bool, ...]:
 #
 # Every command takes the parsed arguments and the context and returns
 # (exit code, JSON payload, text lines); ``main`` alone prints.  Payload
-# values and lines may be library objects, written through ``to_jsonable()``
+# values and lines may be library objects, written through ``_json_text``
 # and ``str()``, and the lines may be a generator, so only the form that is
 # printed gets built.
 
@@ -396,8 +443,9 @@ def cmd_generic_check(args: argparse.Namespace, ctx: Context) -> Outcome:
 # ---------------------------------------------------------------------------
 
 def _add_datum_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=_halfint_arg, required=True,
-                   help="first exponent of the chain (e.g. 1/2, 1, 3/2)")
+    p.add_argument("--alpha", type=_alpha_arg, required=True,
+                   help="first exponent of the chain (e.g. 1/2, 1, 3/2;"
+                   f" at most {MAX_ALPHA})")
     p.add_argument("--n", type=_chain_length_arg, required=True,
                    help="number of steps in the chain (chain has n+1 exponents;"
                    f" 0 <= n <= {MAX_CHAIN_LENGTH})")

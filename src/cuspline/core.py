@@ -52,26 +52,65 @@ class LineError(CusplineError):
 
 
 # ---------------------------------------------------------------------------
+# JSON forms
+# ---------------------------------------------------------------------------
+
+def jsonable(value):
+    """The JSON form of ``value``, built deeply: a library value stands for
+    its shallow ``_json_fields()`` (a dict whose values may be library
+    values, or lists or tuples of them), and a tuple becomes a list."""
+    fields = getattr(value, "_json_fields", None)
+    if fields is not None:
+        value = fields()
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value
+
+
+class JsonForm:
+    """A value with a JSON form.  Its class lists the shallow fields once:
+    ``_JSON_FIELDS`` names the attributes written under their own names,
+    after ``"kind": _JSON_KIND`` when that is set; a class whose form is
+    not that overrides ``_json_fields()``.  ``to_jsonable()`` is the deep
+    form (``jsonable``); the CLI writes the shallow fields directly
+    (``cli._json_text``)."""
+
+    __slots__ = ()
+    _JSON_KIND: Optional[str] = None
+    _JSON_FIELDS: Tuple[str, ...] = ()
+
+    def _json_fields(self) -> dict:
+        out = {} if self._JSON_KIND is None else {"kind": self._JSON_KIND}
+        for name in self._JSON_FIELDS:
+            out[name] = getattr(self, name)
+        return out
+
+    to_jsonable = jsonable
+
+
+# ---------------------------------------------------------------------------
 # Lines and contexts
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Line:
+class Line(JsonForm):
     """A cuspidal line: identifier, selfduality, optional reducibility point."""
 
     id: str
     selfdual: bool = True
     alpha: Optional[HalfInt] = None
 
-    def to_jsonable(self) -> dict:
+    def _json_fields(self) -> dict:
         out: dict = {"id": self.id, "selfdual": self.selfdual}
         if self.alpha is not None:
-            out["alpha"] = self.alpha.to_jsonable()
+            out["alpha"] = self.alpha
         return out
 
 
 @dataclass(frozen=True)
-class Context:
+class Context(JsonForm):
     """Ambient data for classical-side computations.
 
     ``sigma`` is an opaque label for the fixed cuspidal representation of the
@@ -96,11 +135,8 @@ class Context:
         lines[line.id] = line
         return Context(self.sigma, lines)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "lines": [self.lines[k].to_jsonable() for k in sorted(self.lines)],
-        }
+    def _json_fields(self) -> dict:
+        return {"sigma": self.sigma, "lines": [self.lines[k] for k in sorted(self.lines)]}
 
 
 DEFAULT_CONTEXT = Context()
@@ -188,7 +224,7 @@ _NEXT_PRIME = _primes().__next__
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Segment:
+class Segment(JsonForm):
     """A nonempty segment [b, e] of exponents on a line (b <= e, e - b integer),
     hash-consed: equal segments are one object, compared and hashed by identity."""
 
@@ -251,8 +287,7 @@ class Segment:
     def __str__(self) -> str:
         return f"[{self.b},{self.e}]@{self.line}"
 
-    def to_jsonable(self) -> dict:
-        return {"line": self.line, "b": self.b.to_jsonable(), "e": self.e.to_jsonable()}
+    _JSON_FIELDS = ("line", "b", "e")
 
 
 def seg(b, e, line: str = DEFAULT_LINE) -> Segment:
@@ -287,7 +322,7 @@ def linked_union(s1: Segment, s2: Segment) -> Optional[Segment]:
 # Multisegments
 # ---------------------------------------------------------------------------
 
-class Multisegment:
+class Multisegment(JsonForm):
     """A finite multiset of segments in canonical order (immutable, hash-consed).
 
     Equal multisegments are one object: every constructor returns the value
@@ -382,8 +417,7 @@ class Multisegment:
     def __repr__(self) -> str:
         return f"Multisegment({list(self.segments)!r})"
 
-    def to_jsonable(self) -> dict:
-        return {"segments": [s.to_jsonable() for s in self.segments]}
+    _JSON_FIELDS = ("segments",)
 
 
 _INTERNED: Dict[int, _Ref] = {}  # the multisegments, by their prime products
@@ -408,7 +442,7 @@ def ms(*segments: Optional[Segment]) -> Multisegment:
 K = TypeVar("K")
 
 
-class FormalSum(Generic[K]):
+class FormalSum(JsonForm, Generic[K]):
     """Finitely supported Z-linear combination of hashable keys.
 
     Keys are expected to expose ``sort_key()`` for canonical iteration order
@@ -560,18 +594,15 @@ class FormalSum(Generic[K]):
     def __repr__(self) -> str:
         return f"FormalSum({self.coeffs!r})"
 
-    def to_jsonable(self) -> dict:
-        items = []
-        for k, c in self.terms():
-            items.append({"coeff": c, "key": _key_jsonable(k)})
-        return {"terms": items}
+    def _json_fields(self) -> dict:
+        return {"terms": [{"coeff": c, "key": k} for k, c in self.terms()]}
 
 
 # ---------------------------------------------------------------------------
 # Elements: the linear structure shared by the four element kinds
 # ---------------------------------------------------------------------------
 
-class LinearElt:
+class LinearElt(JsonForm):
     """A ``FormalSum`` of keys of one kind, read in one rigid basis.
 
     Subclasses are the four element kinds; each lists the bases it may be
@@ -643,10 +674,10 @@ class LinearElt:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.basis!r}, {self.terms!r})"
 
-    def to_jsonable(self) -> dict:
+    def _json_fields(self) -> dict:
         if self.basis is None:
-            return self.terms.to_jsonable()
-        return {"basis": self.basis, **self.terms.to_jsonable()}
+            return self.terms._json_fields()
+        return {"basis": self.basis, **self.terms._json_fields()}
 
 
 def _linear_elt(cls, basis: Optional[str], terms: FormalSum) -> LinearElt:
@@ -676,13 +707,4 @@ def _key_sort(key) -> tuple:
 def _key_str(key) -> str:
     if isinstance(key, tuple):
         return "(" + " (x) ".join(_key_str(k) for k in key) + ")"
-    return str(key)
-
-
-def _key_jsonable(key):
-    if isinstance(key, tuple):
-        return [_key_jsonable(k) for k in key]
-    f = getattr(key, "to_jsonable", None)
-    if f is not None:
-        return f()
     return str(key)

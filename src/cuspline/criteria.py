@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .core import CusplineError
+from .core import CusplineError, JsonForm
 from .halfint import HalfInt
 
 PASS = "PASS"
@@ -43,7 +43,7 @@ def _fraction(value) -> Fraction:
 
 
 @dataclass(frozen=True)
-class GenericDatum:
+class GenericDatum(JsonForm):
     """Exponent multiset and reducibility flags for one label.
 
     ``halfred`` records whether the half-shifted label induced to the rank-0
@@ -81,7 +81,7 @@ class GenericDatum:
                 "its contragredient"
             )
 
-    def to_jsonable(self) -> dict:
+    def _json_fields(self) -> dict:
         out = {
             "label": self.label,
             "exponents": [str(e) for e in self.exponents],
@@ -97,7 +97,7 @@ class GenericDatum:
 
 
 @dataclass(frozen=True)
-class CriterionStep:
+class CriterionStep(JsonForm):
     label: str
     condition: str
     status: str
@@ -106,17 +106,11 @@ class CriterionStep:
     def render(self) -> str:
         return f"[{self.status}] {self.label} · {self.condition}: {self.detail}"
 
-    def to_jsonable(self) -> dict:
-        return {
-            "label": self.label,
-            "condition": self.condition,
-            "status": self.status,
-            "detail": self.detail,
-        }
+    _JSON_FIELDS = ("label", "condition", "status", "detail")
 
 
 @dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(JsonForm):
     unitarizable: bool
     steps: Tuple[CriterionStep, ...]
 
@@ -135,11 +129,7 @@ class CriterionResult:
         )
         return out
 
-    def to_jsonable(self) -> dict:
-        return {
-            "unitarizable": self.unitarizable,
-            "steps": [s.to_jsonable() for s in self.steps],
-        }
+    _JSON_FIELDS = ("unitarizable", "steps")
 
 
 # ---------------------------------------------------------------------------

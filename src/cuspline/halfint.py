@@ -105,8 +105,10 @@ class HalfInt:
     def __repr__(self) -> str:
         return f"HalfInt({self.num2})"
 
-    def to_jsonable(self) -> dict:
+    def _json_fields(self) -> dict:
         return {"num2": self.num2}
+
+    to_jsonable = _json_fields  # an int field: the deep form is the shallow one
 
 
 # the slot's own setter: a quarter faster than object.__setattr__

@@ -26,6 +26,7 @@ from .core import (
     Context,
     CusplineError,
     DEFAULT_CONTEXT,
+    JsonForm,
     Multisegment,
     Segment,
     _LINE,
@@ -72,7 +73,7 @@ class TransportError(CusplineError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LinePartition:
+class LinePartition(JsonForm):
     """Two disjoint groups of line ids.
 
     Because segments never mix lines and restriction works line by line, any
@@ -125,7 +126,7 @@ class LinePartition:
                 f"{sorted(missing)}"
             )
 
-    def to_jsonable(self) -> dict:
+    def _json_fields(self) -> dict:
         return {"part1": sorted(self.part1), "part2": sorted(self.part2)}
 
 
@@ -322,7 +323,7 @@ def combine_data(
 
 
 @dataclass(frozen=True)
-class SplitDatum:
+class SplitDatum(JsonForm):
     """The bundle of per-line projections of one datum."""
 
     sigma: str
@@ -354,11 +355,8 @@ class SplitDatum:
             out = combine_data(out, d)
         return out
 
-    def to_jsonable(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "parts": {lid: d.to_jsonable() for lid, d in self.parts},
-        }
+    def _json_fields(self) -> dict:
+        return {"sigma": self.sigma, "parts": dict(self.parts)}
 
 
 # ---------------------------------------------------------------------------

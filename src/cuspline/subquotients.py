@@ -34,13 +34,18 @@ not stop the later ones, the first refuted multiplicity step ends the
 multiplicity steps (no later check runs), and a report with a failed step
 carries no bounds and no counting conclusion.
 
-Two scans of a restriction depend on a few hashable values only, not on
-the datum, so each is memoized once per key (``functools.lru_cache``) and
-shared by every datum with that key: the completion candidates and the
-left factor carrying -alpha twice of the witness restriction, on (witness
-segment [-aa, aa], alpha) (``_witness_terms``); the left factors of a base
-atom's restriction, on the hash-consed atom (``_left_factors``).  The
-report of a bottom-empty datum is memoized as well (``_report``, on the
+The scans of a restriction depend on a few hashable values only, not on
+the datum, so each is memoized once per key (``functools.lru_cache``, each
+bounded) and shared by every datum with that key: the completion
+candidates and the left factor carrying -alpha twice of the witness
+restriction, on (witness segment [-aa, aa], alpha) (``_witness_terms``);
+the left factors of a base atom's restriction, on the hash-consed atom
+(``_left_factors``); the first GL-restriction key of the top-merge
+exclusion, on (merged block, doubled c) (``_top_merge_term``); the first
+segment of the down-merge exclusion, on (segment, doubled end)
+(``_segment_ending``); and the witness window, on (witness keys, alpha, n)
+(``_witness_window``).  A bottom-empty datum's frame is resolved once
+(``_resolve``), and its report is memoized as well (``_report``, on the
 datum, the two check flags and the (witness, unit) coefficient), so a
 case-C datum transports the report its partner already made instead of
 building it again.  The context never keys a memo: ``_validate_line``
@@ -62,6 +67,7 @@ from .core import (
     CusplineError,
     DEFAULT_CONTEXT,
     EMPTY_MS,
+    JsonForm,
     LineError,
     Multisegment,
     Segment,
@@ -115,7 +121,7 @@ FAILED = "FAILED"
 
 
 @dataclass(frozen=True)
-class CertStep:
+class CertStep(JsonForm):
     label: str
     status: str
     detail: str
@@ -125,7 +131,7 @@ class CertStep:
         cite = f" ({self.citation})" if self.citation else ""
         return f"[{self.status}]{cite} {self.label}: {self.detail}"
 
-    def to_jsonable(self) -> dict:
+    def _json_fields(self) -> dict:
         out = {"label": self.label, "status": self.status, "detail": self.detail}
         if self.citation:
             out["citation"] = self.citation
@@ -133,7 +139,7 @@ class CertStep:
 
 
 @dataclass(frozen=True)
-class CertReport:
+class CertReport(JsonForm):
     case: CaseTag
     datum: "SubqDatum"
     witness: GLElt
@@ -164,13 +170,13 @@ class CertReport:
     def __str__(self) -> str:
         return "\n".join(self.render_lines())
 
-    def to_jsonable(self) -> dict:
+    def _json_fields(self) -> dict:
         out = {
             "case": self.case.value,
-            "datum": self.datum.to_jsonable(),
-            "witness": self.witness.to_jsonable(),
-            "certificates": [c.to_jsonable() for c in self.certificates],
-            "steps": [s.to_jsonable() for s in self.steps],
+            "datum": self.datum,
+            "witness": self.witness,
+            "certificates": self.certificates,
+            "steps": self.steps,
             "ok": self.ok,
         }
         if self.length_bound is not None:
@@ -178,7 +184,7 @@ class CertReport:
         if self.mult_bound is not None:
             out["mult_bound"] = self.mult_bound
         if self.transported_from is not None:
-            out["transported_from"] = self.transported_from.to_jsonable()
+            out["transported_from"] = self.transported_from
         return out
 
 
@@ -187,7 +193,7 @@ class CertReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SubqDatum:
+class SubqDatum(JsonForm):
     """Tiling-plus-flag label for a subquotient of the exponent chain."""
 
     line: str
@@ -223,15 +229,7 @@ class SubqDatum:
         flag = "St" if self.bottom else "L"
         return f"subq({body};{flag};{self.sigma})"
 
-    def to_jsonable(self) -> dict:
-        return {
-            "line": self.line,
-            "sigma": self.sigma,
-            "alpha": self.alpha.to_jsonable(),
-            "n": self.n,
-            "cuts": list(self.cuts),
-            "bottom": self.bottom,
-        }
+    _JSON_FIELDS = ("line", "sigma", "alpha", "n", "cuts", "bottom")
 
 
 def _langlands_datum(
@@ -250,6 +248,12 @@ def _langlands_datum(
 # Largest chain length accepted: a chain of n steps has 2^(n+1) subquotient
 # labels, and a sweep certifies about that many data.
 MAX_CHAIN_LENGTH = 10
+# Largest reducibility exponent accepted.  A datum's witness is the segment
+# [-alpha', alpha'], with alpha' up to alpha + n - 1, and its restriction
+# grows faster than its length: the slowest eligible datum of a chain of
+# MAX_CHAIN_LENGTH steps certifies in about 0.3 s at alpha = 64 and 1.2 s at
+# alpha = 100 (2-core machine, Python 3.11.7).
+MAX_ALPHA = 64
 
 
 def enumerate_subquotients(
@@ -261,6 +265,8 @@ def enumerate_subquotients(
             f"chain length n must be from 0 to {MAX_CHAIN_LENGTH}, got {n!r}"
         )
     a = hi(alpha)
+    if a > hi(MAX_ALPHA):
+        raise DatumError(f"alpha must be at most {MAX_ALPHA}, got {a}")
     out = []
     for mask in range(1 << n):
         cuts = tuple(bool((mask >> i) & 1) for i in range(n))
@@ -395,23 +401,25 @@ class _CaseFrame:
         attached to sigma as a Steinberg atom."""
         return _langlands_datum(self.d, self.blocks, bottom=True)
 
-    @cached_property
-    def marker(self) -> Counter:
-        """Support of dual(upper), the point -aa, dual(lower) and [-aa, c]."""
-        return _supp(
-            *(s.dual() for s in self.upper),
-            Segment(-self.aa, -self.aa, self.d.line),
-            *(s.dual() for s in self.lower),
-            self.merged,
+    def marker(self, x2: int) -> int:
+        """How often the exponent x2 / 2 occurs in the marker, the support of
+        dual(upper), the point -aa, dual(lower) and [-aa, c]: counted in
+        doubled ints, with x in dual(s) exactly when -x is in s, so that a
+        frame the memo keeps holds no support."""
+        aa2 = self.aa.num2
+        if (x2 - aa2) % 2:  # every exponent of the chain is aa plus an integer
+            return 0
+        return (
+            sum(s.b.num2 <= -x2 <= s.e.num2 for s in self.upper + self.lower)
+            + (x2 == -aa2)
+            + (-aa2 <= x2 <= self.c.num2)
         )
 
 
 def _frame(d: SubqDatum) -> _CaseFrame:
     """The frame of the bottom-empty datum certifying the eligible ``d``
-    (``d`` in case A or B, its involution partner in case C); the pivot is
-    the lowest block longer than a point (the bottom block in case A)."""
-    tag = classify(d)
-    if tag == CaseTag.CASE_C:
+    (``d`` in case A or B, its involution partner in case C)."""
+    if classify(d) == CaseTag.CASE_C:
         pair = aubert_pair(d)
         tag = classify(pair)
         if tag not in (CaseTag.CASE_A, CaseTag.CASE_B):
@@ -420,11 +428,20 @@ def _frame(d: SubqDatum) -> _CaseFrame:
                 "bottom-empty case"
             )
         d = pair
+    return _resolve(d)
+
+
+@lru_cache(maxsize=1024)
+def _resolve(d: SubqDatum) -> _CaseFrame:
+    """The frame of the bottom-empty datum ``d``, resolved once per datum:
+    the check of ``d``, its ``_report`` miss and the check of its partner
+    share it.  The pivot is the lowest block longer than a point (the
+    bottom block in case A)."""
     blocks = d.blocks()
     idx = max(i for i, b in enumerate(blocks) if b.length > 1)
     pivot = blocks[idx]
     return _CaseFrame(
-        d, tag, blocks, pivot.b, pivot.e, pivot, blocks[:idx], blocks[idx + 1:]
+        d, classify(d), blocks, pivot.b, pivot.e, pivot, blocks[:idx], blocks[idx + 1:]
     )
 
 
@@ -530,6 +547,28 @@ def _left_factors(atom) -> frozenset:
     return frozenset(left for (left, _right) in module_comult_base(atom).terms.coeffs)
 
 
+@lru_cache(maxsize=1024)
+def _top_merge_term(block: Segment, c2: int) -> Optional[Multisegment]:
+    """The first key of the GL restriction of delta(block) whose support
+    carries c = c2 / 2 without c + 1, or None."""
+    for key in gl_twisted_part(delta_key(ms(block))).terms.coeffs:
+        supp = _key_supp(key)
+        if supp[c2] > 0 and supp[c2 + 2] == 0:
+            return key
+    return None
+
+
+@lru_cache(maxsize=1024)
+def _segment_ending(block: Segment, end2: int) -> Optional[Segment]:
+    """The first segment ending at end2 / 2 in a key of the GL restriction
+    of delta(block), or None."""
+    for key in gl_twisted_part(delta_key(ms(block))).terms.coeffs:
+        for s in key:
+            if s.e.num2 == end2:
+                return s
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Mechanical exclusion checks
 # ---------------------------------------------------------------------------
@@ -560,7 +599,7 @@ def _check_top_merge_exclusion(f: _CaseFrame) -> str:
         return "no block above the pivot, so the merge branch does not exist"
     c = f.c
     c1 = c + 1
-    if not (f.marker[c.num2] == 1 and f.marker[c1.num2] == 0):
+    if not (f.marker(c.num2) == 1 and f.marker(c1.num2) == 0):
         raise _Refuted(
             f"marker support does not show {c} exactly once without {c1}"
         )
@@ -569,14 +608,12 @@ def _check_top_merge_exclusion(f: _CaseFrame) -> str:
     if not (c1 <= d_top):
         raise _Refuted("merged block does not reach past the marker exponent")
     merged_block = Segment(f.aa, d_top, f.d.line)
-    expansion = gl_twisted_part(delta_key(ms(merged_block)))
-    for key in expansion.terms.coeffs:
-        supp = _key_supp(key)
-        if supp[c.num2] > 0 and supp[c1.num2] == 0:
-            raise _Refuted(
-                f"a term of the GL restriction of the merged block has {c} "
-                f"without {c1}: {key}"
-            )
+    key = _top_merge_term(merged_block, c.num2)
+    if key is not None:
+        raise _Refuted(
+            f"a term of the GL restriction of the merged block has {c} "
+            f"without {c1}: {key}"
+        )
     rest_upper = _pm(_supp(*f.upper[:-1]))
     side = rest_upper + _pm(_supp(f.sym)) + _pm(_supp(*f.lower))
     if side[c.num2] > 0 or side[c1.num2] > 0:
@@ -592,7 +629,7 @@ def _check_double_point_exclusion(f: _CaseFrame) -> str:
     """Marker exponent -alpha occurs twice in the embedded certificate but at
     most once in any term of the bottom-attached branch."""
     neg = -f.d.alpha
-    if f.marker[neg.num2] != 2:
+    if f.marker(neg.num2) != 2:
         raise _Refuted(f"marker support does not contain {neg} exactly twice")
     # every left term of the twisted coproduct of the witness has -alpha
     # at most once
@@ -628,15 +665,10 @@ def _check_second_merge_exclusion(f: _CaseFrame) -> str:
     # factor 2: witness terms end at alpha' only; factor 3: the
     # downward-merged block [alpha'-1, c]
     merged_low = Segment(f.aa - 1, f.c, d.line)
-    for name, factor in (
-        ("witness", f.witness), ("merged-down", delta_key(ms(merged_low)))
-    ):
-        for key in gl_twisted_part(factor).terms.coeffs:
-            for s in key:
-                if s.e == neg_end:
-                    raise _Refuted(
-                        f"{name} restriction segment {s} ends at {neg_end}"
-                    )
+    for name, block in (("witness", f.sym), ("merged-down", merged_low)):
+        s = _segment_ending(block, neg_end.num2)
+        if s is not None:
+            raise _Refuted(f"{name} restriction segment {s} ends at {neg_end}")
     # factor 4: the upper list cannot supply it either
     if _pm(_supp(*f.upper))[neg_end.num2] > 0:
         raise _Refuted("upper list support reaches the forbidden end")
@@ -695,8 +727,15 @@ def _check_distinct(certs: Sequence[LanglandsDatum]) -> str:
 
 
 def _check_witness_window(f: _CaseFrame) -> str:
-    lo, hi_ = -(f.d.alpha + f.d.n), f.d.alpha + f.d.n
-    keys = f.witness.terms.coeffs
+    return _witness_window(tuple(f.witness.terms.coeffs), f.d.alpha.num2, f.d.n)
+
+
+@lru_cache(maxsize=1024)
+def _witness_window(keys: Tuple[Multisegment, ...], alpha2: int, n: int) -> str:
+    """The witness-window check of a witness with the keys ``keys``, on the
+    chain of ``n`` steps from alpha = alpha2 / 2."""
+    hi_ = HalfInt(alpha2 + 2 * n)
+    lo = -hi_
     for key in keys:
         for x in _supp(*key):
             if not (lo.num2 <= x <= hi_.num2):
@@ -981,7 +1020,7 @@ def _report(
     has (witness, unit) coefficient ``unit``.  Memoized on every value it
     reads, so a case-C datum transports the report its partner already
     made; the caller validates the line first."""
-    f = _frame(d)
+    f = _resolve(d)
     steps = [_check("witness window", _check_witness_window, f)]
     certs: Tuple[LanglandsDatum, ...] = ()
     if want_length:

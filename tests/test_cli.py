@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import pathlib
+import random
 import re
 import resource
 import runpy
@@ -11,17 +12,27 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
-from cuspline import cli, dsl
+from cuspline import clear_caches, cli, dsl
 from cuspline.cli import (
     ContextFileError,
     load_context,
     main,
     parse_context,
 )
-from cuspline.core import Line
+from cuspline.core import Line, jsonable, seg
+from cuspline.glhopf import delta_key, twisted_comult
 from cuspline.halfint import hi
+from cuspline.sampling import random_multisegment
+from cuspline.subquotients import (
+    EXTREMES,
+    SubqDatum,
+    check_length_ge5,
+    check_mult_le4,
+    check_prop41,
+    classify,
+)
 
 
 def run(capsys, *argv):
@@ -29,6 +40,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _child(*argv, timeout=5):
+    """Run the CLI in a child process under a timeout, so that an unbounded
+    computation fails the test instead of hanging the suite; return the
+    finished process and its CPU seconds, which a busy machine does not
+    stretch."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspline", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return proc, after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
 
 
 class TestContextFiles:
@@ -63,6 +91,20 @@ class TestContextFiles:
     def test_bad_alpha_rejected(self):
         with pytest.raises(ContextFileError):
             parse_context("line.rho.alpha = 1/3")
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [(str(cli.MAX_ALPHA + 1), f"alpha must be at most {cli.MAX_ALPHA}"),
+         ("9" * 4300, f"number of 4300 digits, more than {dsl.MAX_DIGITS}")],
+        ids=["cap-plus-one", "4300-digits"],
+    )
+    def test_alpha_past_a_cap_rejected(self, alpha, message):
+        with pytest.raises(ContextFileError, match=f"line 2: {message}"):
+            parse_context(f"sigma = s\nline.rho.alpha = {alpha}")
+
+    def test_alpha_at_the_cap_accepted(self):
+        ctx = parse_context(f"line.rho.alpha = {cli.MAX_ALPHA}")
+        assert ctx.lines["rho"].alpha == hi(cli.MAX_ALPHA)
 
     def test_none_path_gives_default(self):
         ctx = load_context(None)
@@ -166,6 +208,29 @@ class TestEnumerateClassify:
             main(command + ["--alpha", "1", "--n", n])
         assert exc.value.code == 2
         assert "--n must be an integer from 0 to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [(str(cli.MAX_ALPHA + 1), f"alpha must be at most {cli.MAX_ALPHA}"),
+         ("9" * 4300, f"number of 4300 digits, more than {dsl.MAX_DIGITS}"),
+         ("9" * 5000 + "/2", f"number of 5000 digits, more than {dsl.MAX_DIGITS}")],
+        ids=["cap-plus-one", "4300-digits", "5000-digits"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["enumerate"], ["classify", "--cuts", "0"], ["check-prop41", "--all"]]
+    )
+    def test_alpha_past_a_cap_is_a_usage_error(self, capsys, command, alpha, message):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--alpha", alpha, "--n", "1", "--json"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --alpha: {message}" in err and len(err) < 1000
+
+    def test_alpha_at_the_cap_is_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "classify", "--alpha", str(cli.MAX_ALPHA), "--n", "1", "--cuts", "0"
+        )
+        assert code == 0 and out == "case-a\n"
 
 
 class TestChecks:
@@ -609,22 +674,39 @@ class TestInputGuards:
         ids=["mustar-8", "mustar-9", "product-20", "mustar-CoSt", "mustar-St", "mw"],
     )
     def test_short_input_past_a_bound_exits_2_within_a_second(self, text):
-        # a child process under a timeout, so that an unbounded expansion
-        # fails the test instead of hanging the suite; the second is CPU
-        # time, which a busy machine does not stretch
-        src = str(pathlib.Path(cli.__file__).parents[1])
-        path = [src, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cuspline", "eval", text],
-            capture_output=True, text=True, env=env, timeout=5,
-        )
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
-        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        proc, cpu = _child("eval", text)
         assert proc.returncode == 2 and proc.stdout == "", proc.stderr
         assert f"more than {dsl.MAX_TERMS}" in proc.stderr
         assert cpu < 1.0
+
+    @pytest.mark.parametrize(
+        "alpha", [str(cli.MAX_ALPHA + 1), f"{2 * cli.MAX_ALPHA + 1}/2", "1000"]
+    )
+    def test_alpha_past_the_cap_exits_2_within_a_second(self, alpha):
+        # at alpha = 1000 this check ran for more than a minute before the cap
+        proc, cpu = _child("check-prop41", "--alpha", alpha, "--n", "1", "--cuts", "0")
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        assert f"alpha must be at most {cli.MAX_ALPHA}" in proc.stderr
+        assert cpu < 1.0
+
+    def test_slowest_datum_at_the_alpha_cap_certifies_within_two_seconds(self):
+        # the widest witness of the longest chain: nine singleton blocks
+        # under the pivot, so the witness is [-(alpha + 9), alpha + 9]
+        n = cli.MAX_CHAIN_LENGTH
+        cuts = "1" * (n - 1) + "0"
+        proc, cpu = _child(
+            "check-prop41", "--alpha", str(cli.MAX_ALPHA), "--n", str(n), "--cuts", cuts
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("  result: PASS\n")
+        assert cpu < 2.0
+
+    def test_context_alpha_of_4300_digits_exit_2(self, tmp_path):
+        path = tmp_path / "ctx"
+        path.write_text("line.rho.alpha = " + "9" * 4300 + "\n")
+        proc, _cpu = _child("eval", "d[0]@rho", "--json", "--ctx", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"number of 4300 digits, more than {dsl.MAX_DIGITS}" in proc.stderr
 
     def test_sweep_rejects_chain_length_past_the_cap(self, capsys):
         path = pathlib.Path(__file__).parent.parent / "scripts" / "sweep_counting.py"
@@ -633,6 +715,20 @@ class TestInputGuards:
             parse_args(["--n", f"1,{cli.MAX_CHAIN_LENGTH + 1}"])
         assert exc.value.code == 2
         assert f"0 to {cli.MAX_CHAIN_LENGTH}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [(str(cli.MAX_ALPHA + 1), f"alpha must be at most {cli.MAX_ALPHA}"),
+         ("9" * 4300, f"number of 4300 digits, more than {dsl.MAX_DIGITS}")],
+        ids=["cap-plus-one", "4300-digits"],
+    )
+    def test_sweep_rejects_alpha_past_a_cap(self, capsys, alpha, message):
+        path = pathlib.Path(__file__).parent.parent / "scripts" / "sweep_counting.py"
+        parse_args = runpy.run_path(str(path), run_name="sweep")["parse_args"]
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["--alphas", f"1/2,{alpha}", "--n", "1"])
+        assert exc.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_sweep_rejects_an_unreadable_context(self, capsys, tmp_path):
         path = pathlib.Path(__file__).parent.parent / "scripts" / "sweep_counting.py"
@@ -734,3 +830,80 @@ class TestJsonText:
     def test_rejects_what_json_rejects(self):
         with pytest.raises(TypeError):
             cli._json_text({"x": [{1, 2}]})
+
+
+@st.composite
+def library_values(draw):
+    """A certificate report, a ring, tensor or module element, or a context."""
+    kind = draw(st.sampled_from(["report", "ring", "tensor", "module", "context"]))
+    if kind == "report":
+        n = draw(st.integers(1, 4))
+        d = SubqDatum(
+            "rho", "sigma", hi(draw(st.sampled_from(["1/2", "1", "3/2", "2", "5/2"]))),
+            n, tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+            draw(st.booleans()),
+        )
+        assume(classify(d) not in EXTREMES)
+        check = draw(st.sampled_from([check_prop41, check_length_ge5, check_mult_le4]))
+        return check(d)
+    if kind == "context":
+        return parse_context("sigma = s\nline.rho.alpha = 1/2\nline.tau.selfdual = no")
+    if kind == "module":
+        return dsl.evaluate(draw(st.sampled_from([
+            "mustar( d[1/2,3/2]@rho |x| St(1/2,1)@rho )",
+            "d[1,2]@rho |x| CoSt(1/2,1)@rho",
+            "St(1/2,2)@rho",
+        ])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    x = delta_key(random_multisegment(rng, max_segments=3))
+    x = x + 2 * delta_key(random_multisegment(rng, max_segments=3))
+    return twisted_comult(x) if kind == "tensor" else x
+
+
+def _nested(value, depth):
+    """``value`` under ``depth`` levels of alternating lists and dicts."""
+    for level in range(depth):
+        value = {"v": value, "w": True} if level % 2 else [None, value]
+    return value
+
+
+class TestJsonTextOfLibraryValues:
+    """``_json_text`` writes a library value from its shallow fields, and a
+    segment, multisegment, exponent or certificate step from the memo of its
+    depth-0 text: the result must be ``json.dumps`` of the deep form, at any
+    depth, with the memo cold, warm, or filled at another depth."""
+
+    @given(
+        value=library_values(),
+        depths=st.lists(st.integers(0, 4), min_size=2, max_size=3),
+        cold=st.booleans(),
+    )
+    # no shrinking: each example may rebuild cold restrictions, and the
+    # drawn example is small already
+    @settings(max_examples=60, deadline=None, phases=[Phase.generate])
+    def test_matches_json_dumps_of_the_deep_form(self, value, depths, cold):
+        if cold:
+            clear_caches()
+        for depth in depths:
+            payload = _nested(value, depth)
+            want = json.dumps(jsonable(payload), sort_keys=True, indent=2)
+            assert cli._json_text(payload) == want, depth
+
+    @pytest.mark.parametrize("fill, hit", [(0, 3), (3, 0), (1, 4)])
+    def test_a_memo_hit_at_another_depth_than_its_fill(self, fill, hit):
+        clear_caches()
+        report = check_prop41(SubqDatum("rho", "sigma", hi("1/2"), 2, (True, False), True))
+        for depth in (fill, hit):
+            payload = _nested(report, depth)
+            want = json.dumps(jsonable(payload), sort_keys=True, indent=2)
+            assert cli._json_text(payload) == want, depth
+        assert cli._repeated_text.cache_info().hits > 0
+
+    def test_the_memo_is_bounded_and_cleared(self):
+        clear_caches()
+        cli._json_text([seg(0, 1), hi(3), check_prop41(SubqDatum(
+            "rho", "sigma", hi(1), 1, (False,), False))])
+        info = cli._repeated_text.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+        clear_caches()
+        assert cli._repeated_text.cache_info().currsize == 0

@@ -14,6 +14,7 @@ from cuspline.core import (
 from cuspline.classical import (
     CoStGenSymbol,
     CuspSymbol,
+    DatumError,
     DeltaPM,
     LanglandsDatum,
     StGenSymbol,
@@ -24,7 +25,9 @@ from cuspline.classical import (
 from cuspline.glhopf import (
     DELTA,
     ZETA,
+    delta_key,
     derivative,
+    gl_twisted_part,
     mw_dual,
     twisted_comult,
     zeta_key,
@@ -33,19 +36,25 @@ from cuspline.halfint import hi
 from cuspline.sampling import random_multisegment
 from cuspline.glhopf import _lowest_derivative_segment
 from cuspline.subquotients import (
+    _Refuted,
     _frame,
     _key_supp,
     _langlands_datum,
     _left_factors,
     _report,
+    _resolve,
+    _segment_ending,
     _supp,
+    _top_merge_term,
     _witness_terms,
+    _witness_window,
     AXIOM,
     CaseTag,
     CertReport,
     CertStep,
     EXTREMES,
     FAILED,
+    MAX_ALPHA,
     MAX_CHAIN_LENGTH,
     SubqDatum,
     UnsupportedDatumError,
@@ -444,6 +453,117 @@ class TestPerKeyMemos:
                 low = min(key.size for key in terms.coeffs)
                 lowest = terms.filter_keys(lambda key: key.size == low)
                 assert _lowest_derivative_segment(s) == lowest, s
+
+
+def _window_segments(lo2: int, hi2: int):
+    """Every segment on rho with doubled ends in [lo2, hi2], by begin."""
+    for b2 in range(lo2, hi2 + 1):
+        for e2 in range(b2, hi2 + 1, 2):
+            yield Segment(hi(f"{b2}/2"), hi(f"{e2}/2"), "rho")
+
+
+class TestCheckMemos:
+    """The memoized scans of the top-merge and down-merge exclusions and of
+    the witness window, each against its direct scan of the unmemoized
+    restriction, over every segment of a window.  The memo stays warm
+    across the sweep, so a memo that forgets part of its key meets a key it
+    has already seen with another value of the forgotten part."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_caches()
+        yield
+        clear_caches()
+
+    def test_top_merge_term(self):
+        found = 0
+        for block in _window_segments(-5, 7):
+            keys = list(gl_twisted_part(delta_key(ms(block))).terms.coeffs)
+            for c2 in range(block.b.num2 - 2, block.e.num2 + 3, 2):
+                want = next(
+                    (k for k in keys if _supp2(k)[c2] > 0 and _supp2(k)[c2 + 2] == 0),
+                    None,
+                )
+                assert _top_merge_term(block, c2) is want, (block, c2)
+                found += want is not None
+        assert 0 < found
+
+    def test_segment_ending(self):
+        found = 0
+        for block in _window_segments(-5, 7):
+            keys = list(gl_twisted_part(delta_key(ms(block))).terms.coeffs)
+            for end2 in range(-block.e.num2 - 2, block.e.num2 + 3, 2):
+                want = next(
+                    (s for k in keys for s in k if s.e == hi(f"{end2}/2")), None
+                )
+                assert _segment_ending(block, end2) is want, (block, end2)
+                found += want is not None
+        assert 0 < found
+
+    def test_witness_window(self):
+        outcomes = Counter()
+        for sym in _window_segments(-7, 7):
+            for keys in ((ms(sym),), (ms(sym), ms(sym.dual()))):
+                for alpha2 in range(1, 5):
+                    for n in range(4):
+                        top = hi(f"{alpha2}/2") + n
+                        inside = all(
+                            -top <= x <= top
+                            for k in keys for (_line, x) in k.support()
+                        )
+                        selfdual = {k.map_segments(Segment.dual) for k in keys} == set(keys)
+                        if not inside:
+                            want = f"witness support leaves [{-top}, {top}]"
+                        elif not selfdual:
+                            want = "witness is not selfdual"
+                        else:
+                            want = f"witness is selfdual with support inside [{-top}, {top}]"
+                        try:
+                            got = _witness_window(keys, alpha2, n)
+                        except _Refuted as exc:
+                            got = str(exc)
+                        assert got == want, (keys, alpha2, n)
+                        outcomes[want.split()[2]] += 1
+        assert len(outcomes) == 3, outcomes
+
+    def test_each_bottom_empty_frame_is_resolved_once(self):
+        for d in (CASE_A_1, CASE_B_RICH):
+            clear_caches()
+            check_prop41(d)  # the check and its report's miss share the frame
+            check_prop41(aubert_pair(d))  # so does the partner's check
+            info = _resolve.cache_info()
+            assert (info.misses, info.hits) == (1, 2), (d, info)
+
+    def test_memos_are_bounded_and_cleared(self):
+        memos = (_resolve, _top_merge_term, _segment_ending, _witness_window)
+        for d in _eligible_data():
+            check_prop41(d)
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.maxsize is not None and 0 < info.currsize <= info.maxsize, memo
+        clear_caches()
+        assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
+
+
+def test_marker_counts_the_support_of_its_segments():
+    """The frame's marker, counted in doubled ints, against the support of
+    dual(upper), the point -aa, dual(lower) and [-aa, c] as a multisegment,
+    at every exponent of the chain's window and one step past it."""
+    for f in _eligible_frames():
+        segments = [s.dual() for s in f.upper + f.lower]
+        segments += [Segment(-f.aa, -f.aa, f.d.line), f.merged]
+        support = _supp2(Multisegment(segments))
+        top2 = f.d.alpha.num2 + 2 * f.d.n + 2
+        for x2 in range(-top2, top2 + 1):
+            assert f.marker(x2) == support[x2], (f.d, x2)
+
+
+class TestAlphaCap:
+    def test_enumeration_refuses_alpha_past_the_cap(self):
+        assert len(enumerate_subquotients(hi(MAX_ALPHA), 1)) == 4
+        for alpha in (hi(MAX_ALPHA) + hi("1/2"), hi(10**6)):
+            with pytest.raises(DatumError, match=f"at most {MAX_ALPHA}"):
+                enumerate_subquotients(alpha, 1)
 
 
 _CHECKS = (check_prop41, check_length_ge5, check_mult_le4)
