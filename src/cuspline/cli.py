@@ -390,6 +390,8 @@ def _load_generic_data(path: str) -> List[GenericDatum]:
         doc = json.loads(text)
     except RecursionError:
         raise MalformedDatumError("JSON input is nested too deeply") from None
+    except ValueError as exc:  # also a number of more than 4300 digits
+        raise MalformedDatumError(f"bad JSON input: {exc}") from None
     if isinstance(doc, dict):
         doc = doc.get("data", doc.get("labels"))
         if doc is None:
@@ -402,6 +404,12 @@ def _load_generic_data(path: str) -> List[GenericDatum]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or "label" not in entry:
             raise MalformedDatumError(f"entry {i} is not a label object")
+        for name in ("label", "partner", "line"):
+            value = entry.get(name)
+            if not (isinstance(value, str) or (value is None and name != "label")):
+                raise MalformedDatumError(
+                    f"entry {i}: {name} must be a JSON string, got {value!r}"
+                )
         flags = {
             name: entry.get(name, name == "selfdual")
             for name in ("selfdual", "halfred", "tau_red")
@@ -563,9 +571,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text = "\n".join(map(str, lines))
     except UnsupportedDatumError as exc:
         print(f"error: unsupported datum: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CusplineError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,17 +22,18 @@ step is VERIFIED (a finite computation done here), AXIOM (an input fact of
 representation theory, with its citation tag), or failed (a computation
 here refuted its claim).
 
-Each datum is certified in one pass.  ``_frame`` resolves an eligible
-datum to the ``_CaseFrame`` (tiling, pivot geometry, witness) of the
-bottom-empty datum that certifies it: itself in case A or B, its
-involution partner in case C.  The steps read the frame in a fixed order:
-the witness window, the length steps, then the multiplicity steps.  A
-check returns its detail or raises ``_Refuted``, and ``_check`` turns
-either into a finished step.  The step generators are lazy; the report
-reads them with one policy: a refuted witness-window or length step does
-not stop the later ones, the first refuted multiplicity step ends the
-multiplicity steps (no later check runs), and a report with a failed step
-carries no bounds and no counting conclusion.
+Each datum is certified in one pass.  ``_run_check`` classifies an
+eligible datum and certifies the bottom-empty datum behind it: itself in
+case A or B, its involution partner in case C, whose report it transports.
+``_resolve`` reads that datum's ``_CaseFrame`` (tiling, pivot geometry,
+witness), and the steps read the frame in a fixed order: the witness
+window, the length steps, then the multiplicity steps.  A check returns its
+detail or raises ``_Refuted``, and ``_check`` turns either into a finished
+step.  The step generators are lazy; the report reads them with one policy:
+a refuted witness-window or length step does not stop the later ones, the
+first refuted multiplicity step ends the multiplicity steps (no later check
+runs), and a report with a failed step carries no bounds and no counting
+conclusion.
 
 The scans of a restriction depend on a few hashable values only, not on
 the datum, so each is memoized once per key (``functools.lru_cache``, each
@@ -44,15 +45,14 @@ the left factors of a base atom's restriction, on the hash-consed atom
 exclusion, on (merged block, doubled c) (``_top_merge_term``); the first
 segment of the down-merge exclusion, on (segment, doubled end)
 (``_segment_ending``); and the witness window, on (witness keys, alpha, n)
-(``_witness_window``).  A bottom-empty datum's frame is resolved once
-(``_resolve``), and its report is memoized as well (``_report``, on the
-datum, the two check flags and the (witness, unit) coefficient), so a
-case-C datum transports the report its partner already made instead of
-building it again.  The context never keys a memo: ``_validate_line``
-checks the datum's line against it before any step runs, every
-restriction a step reads lies on that line, and so the memoized bodies
-take their restrictions in the default context.  Only the unit pairing
-still reads a restriction per call, in the caller's context.
+(``_witness_window``).  The report of a bottom-empty datum is memoized on
+the datum and the two check flags (``_report``), so a case-C datum
+transports the report its partner already made.  The context never keys a
+memo: ``_validate_line`` checks the datum's line against it before any
+step runs, every restriction a step reads lies on that line, and the
+context enters a restriction only through that selfduality check, so every
+memoized body, the unit pairing included, takes its restrictions in the
+default context.
 """
 from __future__ import annotations
 
@@ -101,10 +101,6 @@ from .halfint import HalfInt, hi
 
 class UnsupportedDatumError(CusplineError):
     """Raised when a check is asked about one of the two excluded extremes."""
-
-
-class CertificateError(CusplineError):
-    """A mechanical certificate step failed unexpectedly."""
 
 
 class CaseTag(enum.Enum):
@@ -206,6 +202,8 @@ class SubqDatum(JsonForm):
     def __post_init__(self):
         if not (self.alpha > hi(0)):
             raise DatumError("the reducibility exponent must be positive")
+        if self.alpha > hi(MAX_ALPHA):
+            raise DatumError(f"alpha must be at most {MAX_ALPHA}, got {self.alpha}")
         if self.n < 0:
             raise DatumError("chain length n must be >= 0")
         if len(self.cuts) != self.n:
@@ -265,8 +263,6 @@ def enumerate_subquotients(
             f"chain length n must be from 0 to {MAX_CHAIN_LENGTH}, got {n!r}"
         )
     a = hi(alpha)
-    if a > hi(MAX_ALPHA):
-        raise DatumError(f"alpha must be at most {MAX_ALPHA}, got {a}")
     out = []
     for mask in range(1 << n):
         cuts = tuple(bool((mask >> i) & 1) for i in range(n))
@@ -341,8 +337,8 @@ def _is_multiplicity_free(c: Counter) -> bool:
 
 @dataclass(frozen=True)
 class _CaseFrame:
-    """A bottom-empty datum resolved once: its case tag, its tiling (top
-    block first), the pivot geometry and the witness.
+    """A bottom-empty datum resolved for its report: its case tag, its
+    tiling (top block first), the pivot geometry and the witness.
 
     ``aa`` is the reflection radius (alpha for the long-bottom case, the
     shifted alpha' for the singleton-bottom case), ``pivot`` the block whose
@@ -368,10 +364,6 @@ class _CaseFrame:
     def witness(self) -> GLElt:
         """The selfdual product factor: the delta class of [-aa, aa]."""
         return delta_key(ms(self.sym))
-
-    def witness_for(self, tag: CaseTag) -> GLElt:
-        """The witness of a ``tag`` datum: in case C the zeta class of [-aa, aa]."""
-        return zeta_key(ms(self.sym)) if tag == CaseTag.CASE_C else self.witness
 
     @property
     def merged(self) -> Segment:
@@ -404,8 +396,7 @@ class _CaseFrame:
     def marker(self, x2: int) -> int:
         """How often the exponent x2 / 2 occurs in the marker, the support of
         dual(upper), the point -aa, dual(lower) and [-aa, c]: counted in
-        doubled ints, with x in dual(s) exactly when -x is in s, so that a
-        frame the memo keeps holds no support."""
+        doubled ints, with x in dual(s) exactly when -x is in s."""
         aa2 = self.aa.num2
         if (x2 - aa2) % 2:  # every exponent of the chain is aa plus an integer
             return 0
@@ -416,44 +407,15 @@ class _CaseFrame:
         )
 
 
-def _frame(d: SubqDatum) -> _CaseFrame:
-    """The frame of the bottom-empty datum certifying the eligible ``d``
-    (``d`` in case A or B, its involution partner in case C)."""
-    if classify(d) == CaseTag.CASE_C:
-        pair = aubert_pair(d)
-        tag = classify(pair)
-        if tag not in (CaseTag.CASE_A, CaseTag.CASE_B):
-            raise CertificateError(
-                f"dual partner of {d} classifies as {tag.value}; expected a "
-                "bottom-empty case"
-            )
-        d = pair
-    return _resolve(d)
-
-
-@lru_cache(maxsize=1024)
 def _resolve(d: SubqDatum) -> _CaseFrame:
-    """The frame of the bottom-empty datum ``d``, resolved once per datum:
-    the check of ``d``, its ``_report`` miss and the check of its partner
-    share it.  The pivot is the lowest block longer than a point (the
-    bottom block in case A)."""
+    """The frame of the bottom-empty datum ``d``.  The pivot is the lowest
+    block longer than a point (the bottom block in case A)."""
     blocks = d.blocks()
     idx = max(i for i, b in enumerate(blocks) if b.length > 1)
     pivot = blocks[idx]
     return _CaseFrame(
         d, classify(d), blocks, pivot.b, pivot.e, pivot, blocks[:idx], blocks[idx + 1:]
     )
-
-
-def witness(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
-    """The selfdual product factor used by the counting argument."""
-    tag = classify(d)
-    if tag in EXTREMES:
-        raise UnsupportedDatumError(
-            "the two extreme subquotients carry no counting witness"
-        )
-    _validate_line(d, ctx)
-    return _frame(d).witness_for(tag)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +679,7 @@ def verify_hd_identity(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertStep
         raise UnsupportedDatumError("derivative identification is for the "
                                     "singleton-bottom case")
     _validate_line(d, ctx)
-    return _check("derivative identification", _check_hd_identity, _frame(d))
+    return _check("derivative identification", _check_hd_identity, _resolve(d))
 
 
 def _check_distinct(certs: Sequence[LanglandsDatum]) -> str:
@@ -825,10 +787,10 @@ def check_length_ge5(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertReport
 # Multiplicity check
 # ---------------------------------------------------------------------------
 
-def _mult_steps(f: _CaseFrame, unit: int):
-    """The steps bounding the Jacquet multiplicity by 4, in report order,
-    given the (witness, unit) coefficient ``unit``; each check reads what
-    the ones before it established."""
+def _mult_steps(f: _CaseFrame):
+    """The steps bounding the Jacquet multiplicity by 4, in report order;
+    each check reads what the ones before it established."""
+    unit = twisted_comult(f.witness).terms[(ms(f.sym), EMPTY_MS)]
     yield _check("unit pairing", _check_unit_pairing, unit)
     single, multi, odd, _doubled = _witness_terms(f.sym, f.d.alpha.num2)
     yield _check("candidate enumeration", _check_candidates, f, single, odd)
@@ -985,21 +947,20 @@ def _run_check(
             f"{tag.value} is one of the two excluded extreme subquotients"
         )
     _validate_line(d, ctx)
-    f = _frame(d)
-    unit = twisted_comult(f.witness, ctx).terms[(ms(f.sym), EMPTY_MS)]
-    inner = _report(f.d, want_length, want_mult, unit)
     if tag != CaseTag.CASE_C:
-        return inner
+        return _report(d, want_length, want_mult)
+    inner = _report(aubert_pair(d), want_length, want_mult)
     partner = CertStep(
         "dual partner",
         VERIFIED,
-        f"the involution partner {f.d} is bottom-empty with a long block, so "
-        "the bottom-empty machinery applies to it",
+        f"the involution partner {inner.datum} is bottom-empty with a long "
+        "block, so the bottom-empty machinery applies to it",
     )
+    (key,) = inner.witness.terms.coeffs
     return CertReport(
         CaseTag.CASE_C,
         d,
-        f.witness_for(tag),
+        zeta_key(key),
         tuple(LanglandsDatum(c.gl, c.temp, True) for c in inner.certificates),
         (partner, _TRANSPORT) + tuple(
             CertStep("dual·" + s.label, s.status, s.detail, s.citation)
@@ -1008,16 +969,13 @@ def _run_check(
         inner.length_bound,
         inner.mult_bound,
         inner.ok,
-        f.d,
+        inner.datum,
     )
 
 
 @lru_cache(maxsize=1024)
-def _report(
-    d: SubqDatum, want_length: bool, want_mult: bool, unit: int
-) -> CertReport:
-    """The report of a bottom-empty datum ``d`` whose witness restriction
-    has (witness, unit) coefficient ``unit``.  Memoized on every value it
+def _report(d: SubqDatum, want_length: bool, want_mult: bool) -> CertReport:
+    """The report of a bottom-empty datum ``d``.  Memoized on every value it
     reads, so a case-C datum transports the report its partner already
     made; the caller validates the line first."""
     f = _resolve(d)
@@ -1027,7 +985,7 @@ def _report(
         certs = _certificates(f)
         steps.extend(_length_steps(f, certs))
     if want_mult:
-        for step in _mult_steps(f, unit):
+        for step in _mult_steps(f):
             steps.append(step)
             if step.status == FAILED:
                 break

@@ -542,6 +542,36 @@ class TestGenericCheck:
         code, _, err = run(capsys, "generic-check", path)
         assert code == 2
 
+    @pytest.mark.parametrize("name, entry", [
+        ("label", {"label": 1}),
+        ("label", {"label": None}),
+        ("label", {"label": ["a"]}),
+        ("partner", {"label": "a", "selfdual": False, "partner": ["b"]}),
+        ("partner", {"label": "a", "selfdual": False, "partner": 2}),
+        ("line", {"label": "a", "line": {"id": "rho"}}),
+    ])
+    def test_names_must_be_json_strings(self, capsys, tmp_path, name, entry):
+        # a second, well-formed entry: sorting the labels of both compared
+        # an int with a str
+        path = self.write(tmp_path, [entry, {"label": "b"}])
+        code, out, err = run(capsys, "generic-check", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: entry 0: {name} must be a JSON string")
+
+    def test_optional_names_may_be_null(self, capsys, tmp_path):
+        path = self.write(
+            tmp_path, [{"label": "a", "exponents": ["1/4"], "partner": None, "line": None}]
+        )
+        code, _, _ = run(capsys, "generic-check", path)
+        assert code == 0
+
+    def test_number_past_the_digit_limit_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text('[{"label": "a", "exponents": [%s]}]' % ("1" * 4301))
+        code, out, err = run(capsys, "generic-check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad JSON input: ") and "4300 digits" in err
+
 
 class TestInputGuards:
     """Inputs just past a limit exit 2 with a typed error, not a traceback."""

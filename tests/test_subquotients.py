@@ -37,7 +37,6 @@ from cuspline.sampling import random_multisegment
 from cuspline.glhopf import _lowest_derivative_segment
 from cuspline.subquotients import (
     _Refuted,
-    _frame,
     _key_supp,
     _langlands_datum,
     _left_factors,
@@ -66,7 +65,6 @@ from cuspline.subquotients import (
     classify,
     enumerate_subquotients,
     verify_hd_identity,
-    witness,
 )
 
 
@@ -197,23 +195,29 @@ class TestSplitAndChain:
 
 
 class TestWitness:
+    """The witness each check's report carries."""
+
     def test_bottom_empty_witness_is_delta(self):
-        w = witness(CASE_A_1)
-        assert w.basis == DELTA
-        assert w.terms.coeffs == {ms(seg("-1/2", "1/2")): 1}
-        wb = witness(CASE_B_1)
-        assert wb.terms.coeffs == {ms(seg("-3/2", "3/2")): 1}
+        for check in _CHECKS:
+            w = check(CASE_A_1).witness
+            assert w.basis == DELTA
+            assert w.terms.coeffs == {ms(seg("-1/2", "1/2")): 1}
+            wb = check(CASE_B_1).witness
+            assert wb.basis == DELTA
+            assert wb.terms.coeffs == {ms(seg("-3/2", "3/2")): 1}
 
     def test_dualized_witness_is_zeta(self):
-        w = witness(CASE_C_1)
-        assert w.basis == ZETA
-        assert w.terms.coeffs == {ms(seg("-3/2", "3/2")): 1}
+        for check in _CHECKS:
+            w = check(CASE_C_1).witness
+            assert w.basis == ZETA
+            assert w.terms.coeffs == {ms(seg("-3/2", "3/2")): 1}
 
     def test_extremes_refused(self):
-        with pytest.raises(UnsupportedDatumError):
-            witness(datum(1, 2, (False, False), True))
-        with pytest.raises(UnsupportedDatumError):
-            witness(datum(1, 2, (True, True), False))
+        for check in _CHECKS:
+            with pytest.raises(UnsupportedDatumError):
+                check(datum(1, 2, (False, False), True))
+            with pytest.raises(UnsupportedDatumError):
+                check(datum(1, 2, (True, True), False))
 
 
 class TestCaseAReport:
@@ -374,9 +378,10 @@ def _eligible_data():
 
 
 def _eligible_frames():
-    """The frame of every eligible datum (its partner's in case C)."""
+    """The frame of the bottom-empty datum behind every eligible datum:
+    itself in case A or B, its partner in case C."""
     for d in _eligible_data():
-        yield _frame(d)
+        yield _resolve(aubert_pair(d) if classify(d) is CaseTag.CASE_C else d)
 
 
 class TestPerKeyMemos:
@@ -526,16 +531,23 @@ class TestCheckMemos:
                         outcomes[want.split()[2]] += 1
         assert len(outcomes) == 3, outcomes
 
-    def test_each_bottom_empty_frame_is_resolved_once(self):
+    def test_each_bottom_empty_frame_is_resolved_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(d, _real=_resolve):
+            calls[d] += 1
+            return _real(d)
+
+        monkeypatch.setattr(subquotients, "_resolve", counting)
         for d in (CASE_A_1, CASE_B_RICH):
             clear_caches()
-            check_prop41(d)  # the check and its report's miss share the frame
-            check_prop41(aubert_pair(d))  # so does the partner's check
-            info = _resolve.cache_info()
-            assert (info.misses, info.hits) == (1, 2), (d, info)
+            calls.clear()
+            check_prop41(d)  # the report's miss resolves the frame
+            check_prop41(aubert_pair(d))  # the partner's check hits the report
+            assert calls == {d: 1}, (d, calls)
 
     def test_memos_are_bounded_and_cleared(self):
-        memos = (_resolve, _top_merge_term, _segment_ending, _witness_window)
+        memos = (_report, _top_merge_term, _segment_ending, _witness_window)
         for d in _eligible_data():
             check_prop41(d)
         for memo in memos:
@@ -559,11 +571,31 @@ def test_marker_counts_the_support_of_its_segments():
 
 
 class TestAlphaCap:
+    PAST_CAP = (hi(MAX_ALPHA) + hi("1/2"), hi(100), hi(10**6))
+
     def test_enumeration_refuses_alpha_past_the_cap(self):
         assert len(enumerate_subquotients(hi(MAX_ALPHA), 1)) == 4
-        for alpha in (hi(MAX_ALPHA) + hi("1/2"), hi(10**6)):
+        for alpha in self.PAST_CAP:
             with pytest.raises(DatumError, match=f"at most {MAX_ALPHA}"):
                 enumerate_subquotients(alpha, 1)
+
+    def test_no_datum_past_the_cap_reaches_a_check(self):
+        """The cap is the datum's own rule, so neither the constructor nor a
+        copy through ``dataclasses.replace`` can hand a check such a datum."""
+        for alpha in self.PAST_CAP:
+            with pytest.raises(DatumError, match=f"at most {MAX_ALPHA}"):
+                SubqDatum("rho", "sigma", alpha, 10, (True,) * 9 + (False,), False)
+            for d in (CASE_A_1, CASE_B_1, CASE_C_1):
+                with pytest.raises(DatumError, match=f"at most {MAX_ALPHA}"):
+                    replace(d, alpha=alpha)
+
+    def test_a_datum_at_the_cap_certifies(self):
+        d = datum(MAX_ALPHA, 2, (True, False), False)
+        assert classify(d) is CaseTag.CASE_B
+        assert verify_hd_identity(d).status == VERIFIED
+        for check in _CHECKS:
+            for x in (d, aubert_pair(d)):
+                assert check(x).ok, (check.__name__, str(x))
 
 
 _CHECKS = (check_prop41, check_length_ge5, check_mult_le4)
@@ -571,7 +603,13 @@ _CHECKS = (check_prop41, check_length_ge5, check_mult_le4)
 
 def _transport_by_replace(d, inner):
     """The case-C report of ``d`` from its partner's report ``inner``,
-    copied field by field through ``dataclasses.replace``."""
+    copied field by field through ``dataclasses.replace``; the witness is
+    the zeta class of the symmetric segment [-aa, aa] of the partner's
+    delta witness."""
+    ((key, _coeff),) = inner.witness.terms.coeffs.items()
+    (sym,) = key
+    aa = sym.e
+    assert inner.witness.basis == DELTA and sym.b == -aa
     steps = (
         CertStep(
             "dual partner",
@@ -592,7 +630,7 @@ def _transport_by_replace(d, inner):
         inner,
         case=CaseTag.CASE_C,
         datum=d,
-        witness=witness(d),
+        witness=zeta_key(ms(Segment(-aa, aa, d.line))),
         certificates=tuple(replace(c, dualized=True) for c in inner.certificates),
         steps=steps,
         transported_from=inner.datum,
@@ -635,11 +673,13 @@ class TestReportMemo:
         assert _report.cache_info().hits > 0
 
     def test_a_case_c_check_resolves_its_datum_once(self, monkeypatch):
+        """A warm case-C check validates the line once, looks its partner's
+        report up and resolves no frame."""
         data = [d for d in _eligible_data() if classify(d) is CaseTag.CASE_C][::5]
         for d in data:
             check_prop41(d)  # memoizes the partner's report
         calls = Counter()
-        for name in ("_frame", "_validate_line"):
+        for name in ("_resolve", "_validate_line"):
             def counting(*args, _real=getattr(subquotients, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
@@ -648,8 +688,9 @@ class TestReportMemo:
         for d in data:
             calls.clear()
             rep = check_prop41(d)
-            assert calls == {"_frame": 1, "_validate_line": 1}, str(d)
-            assert rep.ok and rep.witness.basis == ZETA and rep.witness == witness(d)
+            assert calls == {"_validate_line": 1}, str(d)
+            sym = _resolve(aubert_pair(d)).sym  # the unpatched function
+            assert rep.ok and rep.witness == zeta_key(ms(sym)), str(d)
 
     def test_context_is_enforced_on_a_memo_hit(self):
         for d in (CASE_B_1, CASE_C_1):
@@ -664,7 +705,7 @@ class TestReportMemo:
                     check_prop41(d, ctx)
         assert _report.cache_info().hits == hits
 
-    def test_warm_check_reads_the_unit_in_the_callers_context(self, monkeypatch):
+    def test_a_warm_check_in_a_valid_context_reads_no_restriction(self, monkeypatch):
         seen = []
 
         def counting(x, ctx=DEFAULT_CONTEXT):
@@ -675,14 +716,17 @@ class TestReportMemo:
         ctx = Context(lines={"rho": Line("rho", selfdual=True, alpha=hi("1/2"))})
         for check in _CHECKS:
             for d in (CASE_B_1, CASE_C_1):
-                check(d)
+                want = check(d)
                 seen.clear()
                 hits = _report.cache_info().hits
-                assert check(d, ctx).ok
+                assert check(d, ctx) == want
                 assert _report.cache_info().hits == hits + 1
-                assert len(seen) == 1 and seen[0] is ctx
+                assert seen == []
+        # a miss reads the unit once, in the default context
+        assert check_mult_le4(CASE_B_RICH, ctx).ok
+        assert seen == [DEFAULT_CONTEXT]
 
-    def test_a_changed_unit_misses_the_memo(self, monkeypatch):
+    def test_a_changed_unit_fails_the_unit_pairing_once_cleared(self, monkeypatch):
         for d in (CASE_B_1, CASE_C_1):
             assert check_mult_le4(d).ok
         # every coefficient of the witness restriction now reads 0
@@ -691,11 +735,14 @@ class TestReportMemo:
             "twisted_comult",
             lambda x, ctx=DEFAULT_CONTEXT: SimpleNamespace(terms=Counter()),
         )
+        assert all(check_mult_le4(d).ok for d in (CASE_B_1, CASE_C_1))  # memo hits
+        clear_caches()
         for d in (CASE_B_1, CASE_C_1):
             rep = check_mult_le4(d)
             assert not rep.ok and rep.mult_bound is None
             (step,) = [s for s in rep.steps if s.label.endswith("unit pairing")]
             assert step.status == FAILED
+            assert step.detail == "coefficient of (witness, unit) is 0, not 2"
 
 
 class TestContextValidation:
@@ -718,13 +765,14 @@ class TestContextValidation:
         Context(lines={"rho": Line("rho", selfdual=True, alpha=hi(1))}),
     ], ids=["non-selfdual", "alpha-mismatch"])
     def test_witness_and_hd_identity_check_the_line(self, ctx):
-        for d in (CASE_A_1, CASE_B_1, CASE_C_1):
-            with pytest.raises(LineError):
-                witness(d, ctx)
+        for check in _CHECKS:
+            for d in (CASE_A_1, CASE_B_1, CASE_C_1):
+                with pytest.raises(LineError):
+                    check(d, ctx)
         with pytest.raises(LineError):
             verify_hd_identity(CASE_B_1, ctx)
         good = Context(lines={"rho": Line("rho", selfdual=True, alpha=hi("1/2"))})
-        assert witness(CASE_C_1, good) == witness(CASE_C_1)
+        assert check_prop41(CASE_C_1, good).witness == check_prop41(CASE_C_1).witness
         assert verify_hd_identity(CASE_B_1, good) == verify_hd_identity(CASE_B_1)
 
 
