@@ -46,13 +46,14 @@ exclusion, on (merged block, doubled c) (``_top_merge_term``); the first
 segment of the down-merge exclusion, on (segment, doubled end)
 (``_segment_ending``); and the witness window, on (witness keys, alpha, n)
 (``_witness_window``).  The report of a bottom-empty datum is memoized on
-the datum and the two check flags (``_report``), so a case-C datum
-transports the report its partner already made.  The context never keys a
-memo: ``_validate_line`` checks the datum's line against it before any
-step runs, every restriction a step reads lies on that line, and the
-context enters a restriction only through that selfduality check, so every
-memoized body, the unit pairing included, takes its restrictions in the
-default context.
+the datum, the two check flags and the (witness, unit) coefficient
+(``_report``), so a case-C datum transports the report its partner already
+made.  The context never keys a memo: ``_validate_line`` checks the datum's
+line against it before any step runs, every restriction a step reads lies
+on that line, and so the memoized bodies take their restrictions in the
+default context.  Only the unit pairing reads a restriction per call, in
+the caller's context: its witness is read off the datum's cuts
+(``_witness_segment``), so a warm check resolves no frame.
 """
 from __future__ import annotations
 
@@ -405,6 +406,14 @@ class _CaseFrame:
             + (x2 == -aa2)
             + (-aa2 <= x2 <= self.c.num2)
         )
+
+
+def _witness_segment(d: SubqDatum) -> Segment:
+    """The symmetric witness segment [-aa, aa] of the bottom-empty datum
+    ``d``: aa begins the pivot, whose lowest step is ``d``'s first uncut
+    one."""
+    aa = d.alpha + d.cuts.index(False)
+    return Segment(-aa, aa, d.line)
 
 
 def _resolve(d: SubqDatum) -> _CaseFrame:
@@ -787,10 +796,10 @@ def check_length_ge5(d: SubqDatum, ctx: Context = DEFAULT_CONTEXT) -> CertReport
 # Multiplicity check
 # ---------------------------------------------------------------------------
 
-def _mult_steps(f: _CaseFrame):
-    """The steps bounding the Jacquet multiplicity by 4, in report order;
-    each check reads what the ones before it established."""
-    unit = twisted_comult(f.witness).terms[(ms(f.sym), EMPTY_MS)]
+def _mult_steps(f: _CaseFrame, unit: int):
+    """The steps bounding the Jacquet multiplicity by 4, in report order,
+    given the (witness, unit) coefficient ``unit``; each check reads what
+    the ones before it established."""
     yield _check("unit pairing", _check_unit_pairing, unit)
     single, multi, odd, _doubled = _witness_terms(f.sym, f.d.alpha.num2)
     yield _check("candidate enumeration", _check_candidates, f, single, odd)
@@ -947,9 +956,12 @@ def _run_check(
             f"{tag.value} is one of the two excluded extreme subquotients"
         )
     _validate_line(d, ctx)
+    base = aubert_pair(d) if tag == CaseTag.CASE_C else d
+    sym = ms(_witness_segment(base))
+    unit = twisted_comult(delta_key(sym), ctx).terms[(sym, EMPTY_MS)]
+    inner = _report(base, want_length, want_mult, unit)
     if tag != CaseTag.CASE_C:
-        return _report(d, want_length, want_mult)
-    inner = _report(aubert_pair(d), want_length, want_mult)
+        return inner
     partner = CertStep(
         "dual partner",
         VERIFIED,
@@ -974,8 +986,11 @@ def _run_check(
 
 
 @lru_cache(maxsize=1024)
-def _report(d: SubqDatum, want_length: bool, want_mult: bool) -> CertReport:
-    """The report of a bottom-empty datum ``d``.  Memoized on every value it
+def _report(
+    d: SubqDatum, want_length: bool, want_mult: bool, unit: int
+) -> CertReport:
+    """The report of a bottom-empty datum ``d`` whose witness restriction
+    has (witness, unit) coefficient ``unit``.  Memoized on every value it
     reads, so a case-C datum transports the report its partner already
     made; the caller validates the line first."""
     f = _resolve(d)
@@ -985,7 +1000,7 @@ def _report(d: SubqDatum, want_length: bool, want_mult: bool) -> CertReport:
         certs = _certificates(f)
         steps.extend(_length_steps(f, certs))
     if want_mult:
-        for step in _mult_steps(f):
+        for step in _mult_steps(f, unit):
             steps.append(step)
             if step.status == FAILED:
                 break
