@@ -19,9 +19,9 @@ identity ones and a (multisegment, induced symbol) key hashes in C.
 
 Module elements (``ClassElt``, keys: induced symbols) and module tensors
 (``TensorClass``, keys: (multisegment, induced symbol) pairs) are
-``core.LinearElt`` subclasses with no basis.  ``module_comult`` computes the
-restriction sum mu*(key) = twisted-coproduct of the GL part acted on the
-closed base formulas.
+``core.LinearElt`` subclasses with no basis, so ``FormalSum``s themselves.
+``module_comult`` computes the restriction sum mu*(key) = twisted-coproduct
+of the GL part acted on the closed base formulas.
 ``TemperedSymbol`` and ``LanglandsDatum`` are structural labels used by the
 certificate machinery: equality is structural and that is all the counting
 arguments need.
@@ -44,6 +44,7 @@ from .core import (
     Segment,
     _enter,
     _new,
+    _nonzero,
     hash_cons,
     ms,
     seg_opt,
@@ -267,10 +268,7 @@ def rtimes(x: GLElt, y: ClassElt) -> ClassElt:
         raise NotCuspidalBaseError(
             "induction takes the GL factor in delta semantics"
         )
-    out = x.terms.combine(
-        y.terms, lambda m, sym: InducedSymbol(m + sym.gl, sym.base)
-    )
-    return ClassElt(out)
+    return ClassElt(x.combine(y, lambda m, sym: InducedSymbol(m + sym.gl, sym.base)))
 
 
 def induced(m: Multisegment, base: BaseSymbol) -> ClassElt:
@@ -339,18 +337,18 @@ def module_comult(y: ClassElt, ctx: Context = DEFAULT_CONTEXT) -> TensorClass:
     out: dict = {}
     get = out.get
     left_sum = _left_sum
-    for sym, c in y.terms.coeffs.items():
+    for sym, c in y.coeffs.items():
         by_right: dict = {}
-        for (l, r), tc in twisted_comult(delta_key(sym.gl), ctx).terms.coeffs.items():
+        for (l, r), tc in twisted_comult(delta_key(sym.gl), ctx).coeffs.items():
             by_right.setdefault(r, []).append((l, tc))
-        for (bl, br), bc in module_comult_base(sym.base).terms.coeffs.items():
+        for (bl, br), bc in module_comult_base(sym.base).coeffs.items():
             base, empty, cb = br.base, bl is EMPTY_MS, c * bc
             for r, lefts in by_right.items():
                 right = InducedSymbol(r, base)
                 for l, tc in lefts:
                     key = (l if empty else left_sum(l, bl), right)
                     out[key] = get(key, 0) + cb * tc
-    return TensorClass(FormalSum._clean(out))
+    return TensorClass(FormalSum._raw(_nonzero(out)))
 
 
 def gl_jacquet(y: ClassElt, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
@@ -364,9 +362,9 @@ def gl_jacquet(y: ClassElt, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
             raise NotCuspidalBaseError(
                 f"full GL restriction needs cuspidal bases, got {sym.base}"
             )
-        return gl_twisted_part(delta_key(sym.gl), ctx).terms
+        return gl_twisted_part(delta_key(sym.gl), ctx)
 
-    return GLElt(DELTA, y.terms.bind(restrict))
+    return GLElt(DELTA, y.bind(restrict))
 
 
 def mult_in(
@@ -381,7 +379,7 @@ def mult_in(
     keys that are irreducible for support reasons.
     """
     total = 0
-    for (l, r), c in t.terms.coeffs.items():
+    for (l, r), c in t.coeffs.items():
         if l == left and (right_pred is None or right_pred(r)):
             total += c
     return total
@@ -401,7 +399,7 @@ def identify_point_of_reducibility(
         InducedSymbol(EMPTY_MS, CoStGenSymbol(line, a, 0, sigma)),
     ]
     out: Dict = {}
-    for (l, r), c in t.terms.coeffs.items():
+    for (l, r), c in t.coeffs.items():
         if r == point:
             for rep in replacement:
                 out[(l, rep)] = out.get((l, rep), 0) + c

@@ -11,10 +11,12 @@ id local to the process (a segment pickles by its fields), and multisegments
 in a weak intern table (``hash_cons``, which the module-side symbols of
 ``classical`` share) keyed on the product of their segments' primes.  So
 equal values are one object, dict keys hash and compare by identity, in C,
-and a weak table never keeps a dead value alive.  A ``FormalSum`` is a finitely supported Z-linear
-combination of hashable keys with no explicit zero coefficients.  ``LinearElt`` is the one element type built on it: a
-``FormalSum`` tagged with its rigid basis, whose subclasses are the ring,
-ring-tensor, module and module-tensor elements.
+and a weak table never keeps a dead value alive.  A ``FormalSum`` is a
+finitely supported Z-linear combination of hashable keys with no explicit
+zero coefficients.  ``LinearElt``, the one element type, is a ``FormalSum``
+with one more slot, its rigid basis; its subclasses are the ring,
+ring-tensor, module and module-tensor elements, and the linear operations,
+written once on ``FormalSum``, keep their kind and basis.
 """
 from __future__ import annotations
 
@@ -447,7 +449,8 @@ class FormalSum(JsonForm, Generic[K]):
 
     Keys are expected to expose ``sort_key()`` for canonical iteration order
     (tuples of such keys are handled structurally).  Zero coefficients are
-    never stored.
+    never stored.  ``+``, ``-``, scaling, ``map_keys`` and ``filter`` keep
+    the kind: they need one (``_require_same``) and build through ``_with``.
     """
 
     __slots__ = ("coeffs",)
@@ -462,7 +465,7 @@ class FormalSum(JsonForm, Generic[K]):
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, *a):
-        raise AttributeError("FormalSum is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):  # immutability breaks default pickling
         return (FormalSum, (self.coeffs,))
@@ -474,14 +477,15 @@ class FormalSum(JsonForm, Generic[K]):
         _SET_COEFFS(out, coeffs)
         return out
 
-    @staticmethod
-    def _clean(coeffs: Dict[K, int]) -> "FormalSum[K]":
-        """Trusted except for zeros, which are stripped here.  Every caller
-        hands over a dict it made and drops, so one with no zero, the usual
-        case, is kept as it is; one with a zero is rebuilt in its order."""
-        if 0 in coeffs.values():
-            coeffs = {k: c for k, c in coeffs.items() if c != 0}
-        return FormalSum._raw(coeffs)
+    def _with(self, coeffs: Dict[K, int]) -> "FormalSum[K]":
+        """Same kind, new coefficients, trusted but for zeros: a plain sum."""
+        return FormalSum._raw(_nonzero(coeffs))
+
+    def _require_same(self, other: "FormalSum") -> None:
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} and {type(other).__name__}"
+            )
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -490,9 +494,7 @@ class FormalSum(JsonForm, Generic[K]):
 
     @staticmethod
     def lift(key: K, coeff: int = 1) -> "FormalSum[K]":
-        if coeff.__class__ is int:  # trusted: an exact int needs no loop
-            return FormalSum._raw({key: coeff} if coeff else {})
-        return FormalSum({key: coeff})  # raises on any other coefficient
+        return FormalSum._raw(_lifted(key, coeff))
 
     @staticmethod
     def from_terms(terms: Iterable[Tuple[K, int]]) -> "FormalSum[K]":
@@ -502,27 +504,26 @@ class FormalSum(JsonForm, Generic[K]):
         return FormalSum(out)
 
     # -- linear structure --------------------------------------------------
-    def __add__(self, other: "FormalSum[K]") -> "FormalSum[K]":
+    def __add__(self, other: "FormalSum[K]"):
+        self._require_same(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
-        return FormalSum._clean(out)
+        return self._with(out)
 
-    def __sub__(self, other: "FormalSum[K]") -> "FormalSum[K]":
+    def __sub__(self, other: "FormalSum[K]"):
         return self + (-1) * other
 
-    def __neg__(self) -> "FormalSum[K]":
+    def __neg__(self):
         return (-1) * self
 
-    def __rmul__(self, scalar: int) -> "FormalSum[K]":
+    def __rmul__(self, scalar: int):
         if not isinstance(scalar, int) or isinstance(scalar, bool):
             raise TypeError("scalars must be ints")
-        if scalar == 0:
-            return FormalSum._raw({})
-        return FormalSum._raw({k: scalar * c for k, c in self.coeffs.items()})
+        return self._with({k: scalar * c for k, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FormalSum) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __hash__(self):
         raise TypeError("FormalSum is not hashable")
@@ -544,44 +545,42 @@ class FormalSum(JsonForm, Generic[K]):
     __iter__ = None
 
     # -- structural transforms --------------------------------------------
-    def map_keys(self, f: Callable[[K], K]) -> "FormalSum":
+    def map_keys(self, f: Callable[[K], K]):
         out: Dict = {}
         for k, c in self.coeffs.items():
             nk = f(k)
             out[nk] = out.get(nk, 0) + c
-        return FormalSum._clean(out)
+        return self._with(out)
 
-    def filter_keys(self, pred: Callable[[K], bool]) -> "FormalSum[K]":
-        return FormalSum._raw(
-            {k: c for k, c in self.coeffs.items() if pred(k)}
-        )
+    def filter(self, pred: Callable[[K], bool]):
+        return self._with({k: c for k, c in self.coeffs.items() if pred(k)})
 
     def bind(self, f: Callable[[K], "FormalSum"]) -> "FormalSum":
-        """Linear extension of a key -> FormalSum map."""
+        """Linear extension of a key -> FormalSum map (a plain sum)."""
         out: Dict = {}
         for k, c in self.coeffs.items():
             for nk, nc in f(k).coeffs.items():
                 out[nk] = out.get(nk, 0) + c * nc
-        return FormalSum._clean(out)
+        return FormalSum._raw(_nonzero(out))
 
     def combine(self, other: "FormalSum", f: Callable[[K, K], K]) -> "FormalSum":
-        """Bilinear extension of a (key, key) -> key map."""
+        """Bilinear extension of a (key, key) -> key map (a plain sum)."""
         out: Dict = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 nk = f(k1, k2)
                 out[nk] = out.get(nk, 0) + c1 * c2
-        return FormalSum._clean(out)
+        return FormalSum._raw(_nonzero(out))
 
     # -- canonical iteration / presentation --------------------------------
-    def terms(self) -> Iterable[Tuple[K, int]]:
+    def sorted_terms(self) -> Iterable[Tuple[K, int]]:
         return sorted(self.coeffs.items(), key=lambda kc: _key_sort(kc[0]))
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
-        for k, c in self.terms():
+        for k, c in self.sorted_terms():
             label = _key_str(k)
             if c == 1:
                 parts.append(label)
@@ -595,104 +594,93 @@ class FormalSum(JsonForm, Generic[K]):
         return f"FormalSum({self.coeffs!r})"
 
     def _json_fields(self) -> dict:
-        return {"terms": [{"coeff": c, "key": k} for k, c in self.terms()]}
+        return {"terms": [{"coeff": c, "key": k} for k, c in self.sorted_terms()]}
+
+
+def _lifted(key, coeff: int) -> Dict:
+    """``{key: coeff}`` without a zero; a coefficient not an int raises."""
+    if coeff.__class__ is int:  # trusted: an exact int needs no loop
+        return {key: coeff} if coeff else {}
+    return FormalSum({key: coeff}).coeffs
+
+
+def _nonzero(coeffs: Dict[K, int]) -> Dict[K, int]:
+    """A dict its caller made and drops, without zeros: kept as it is when
+    it has none (the usual case), else rebuilt in its order."""
+    if 0 in coeffs.values():
+        return {k: c for k, c in coeffs.items() if c != 0}
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
-# Elements: the linear structure shared by the four element kinds
+# Elements: the four element kinds
 # ---------------------------------------------------------------------------
 
-class LinearElt(JsonForm):
+class LinearElt(FormalSum):
     """A ``FormalSum`` of keys of one kind, read in one rigid basis.
 
     Subclasses are the four element kinds; each lists the bases it may be
     read in (``None`` only, on the module side).  ``+`` and ``-`` need one
     kind (else ``TypeError``) and one basis (else ``MixedBasisError``).
-    Elements are immutable and unhashable.
+    Elements are immutable and unhashable, and never equal a plain sum.
     """
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ("basis",)
     BASES: Tuple[Optional[str], ...] = (None,)
 
     def __init__(self, basis: Optional[str], terms: FormalSum):
         if basis not in self.BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", terms)
+        _SET_BASIS(self, basis)
+        _SET_COEFFS(self, terms.coeffs)
 
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def __reduce__(self):
+        return (_linear_elt, (type(self), self.basis, self.coeffs))
 
-    def __reduce__(self):  # immutability breaks default pickling
-        return (_linear_elt, (type(self), self.basis, self.terms))
+    @property
+    def terms(self) -> FormalSum:
+        """The coefficients as a plain sum, sharing the dict."""
+        return FormalSum._raw(self.coeffs)
 
-    def _with(self, terms: FormalSum):
-        """Same kind and basis, new terms (no validation needed)."""
-        return _linear_elt(type(self), self.basis, terms)
+    def _with(self, coeffs):
+        return _linear_elt(type(self), self.basis, _nonzero(coeffs))
 
     def _require_same(self, other: "LinearElt") -> None:
-        if type(other) is not type(self):
-            raise TypeError(
-                f"cannot combine {type(self).__name__} and {type(other).__name__}"
-            )
+        super()._require_same(other)
         if other.basis != self.basis:
             raise MixedBasisError(
                 f"cannot combine {self.basis}-basis and {other.basis}-basis elements"
             )
 
-    def __add__(self, other: "LinearElt"):
-        self._require_same(other)
-        return self._with(self.terms + other.terms)
-
-    def __sub__(self, other: "LinearElt"):
-        self._require_same(other)
-        return self._with(self.terms - other.terms)
-
-    def __rmul__(self, scalar: int):
-        return self._with(scalar * self.terms)
-
-    def map_keys(self, f: Callable):
-        return self._with(self.terms.map_keys(f))
-
-    def filter(self, pred: Callable[..., bool]):
-        return self._with(self.terms.filter_keys(pred))
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    __hash__ = None  # unhashable, like the FormalSum it wraps
+    def __eq__(self, other) -> bool:  # and so unhashable
+        return super().__eq__(other) and self.basis == other.basis
 
     def __str__(self) -> str:
         if self.basis is None:
-            return str(self.terms)
-        return f"{self.basis[0]}:{self.terms}"  # "d:" or "z:"
+            return super().__str__()
+        return f"{self.basis[0]}:{super().__str__()}"  # "d:" or "z:"
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.basis!r}, {self.terms!r})"
+        return f"{type(self).__name__}({self.basis!r}, {super().__repr__()})"
 
     def _json_fields(self) -> dict:
         if self.basis is None:
-            return self.terms._json_fields()
-        return {"basis": self.basis, **self.terms._json_fields()}
+            return super()._json_fields()
+        return {"basis": self.basis, **super()._json_fields()}
 
 
-def _linear_elt(cls, basis: Optional[str], terms: FormalSum) -> LinearElt:
+def _linear_elt(cls, basis: Optional[str], coeffs: Dict) -> LinearElt:
     """Trusted constructor of any element kind (also the unpickler)."""
     out = object.__new__(cls)
     _SET_BASIS(out, basis)
-    _SET_TERMS(out, terms)
+    _SET_COEFFS(out, coeffs)
     return out
 
 
-# slot setters of the trusted constructors: they skip the generic
+# slot setters of the constructors: they skip the generic
 # ``object.__setattr__`` lookup on the hot single-key path
 _SET_COEFFS = FormalSum.coeffs.__set__
 _SET_BASIS = LinearElt.basis.__set__
-_SET_TERMS = LinearElt.terms.__set__
 
 
 def _key_sort(key) -> tuple:

@@ -32,10 +32,11 @@ class MalformedDatumError(CusplineError):
 
 
 def _fraction(value) -> Fraction:
-    if isinstance(value, bool):
-        raise MalformedDatumError(f"not an exponent: {value!r}")
+    """An exact exponent; a float is refused, as 0.3 is not 3/10 in binary."""
     if isinstance(value, HalfInt):
         return value.as_fraction()
+    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+        raise MalformedDatumError(f'not an exponent: {value!r}; write 0.3 as "3/10"')
     try:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -394,7 +394,7 @@ def _eval(node: Expr, ctx: Context) -> Value:
             except MixedBasisError as exc:
                 raise DslTypeError(str(exc)) from exc
             factors.append(right)
-        _check_bound("'*'", prod(len(f.terms) for f in factors))
+        _check_bound("'*'", prod(len(f) for f in factors))
         return reduce(mul, factors)
     if isinstance(node, Induce):
         left = _eval(node.left, ctx)
@@ -448,10 +448,10 @@ def term_bound(fn: str, x: GLElt | ClassElt) -> int:
     if fn == "mustar":
         return sum(
             term_bound("Mstar", delta_key(sym.gl)) * _base_terms(sym.base)
-            for sym in x.terms.coeffs
+            for sym in x.coeffs
         )
     per_segment = _SEGMENT_TERMS[fn]
-    return sum(prod(per_segment(s.length) for s in key) for key in x.terms.coeffs)
+    return sum(prod(per_segment(s.length) for s in key) for key in x.coeffs)
 
 
 def _check_bound(what: str, bound: int, made: str = "terms") -> None:
@@ -477,11 +477,11 @@ def _apply(fn: str, arg: Value, ctx: Context) -> Value:
     if not isinstance(arg, GLElt):
         raise DslTypeError(f"{fn} needs a ring element, got {_type_name(arg)}")
     # ``hd`` of a positive element makes at most one term per key (glhopf)
-    positive_hd = fn == "hd" and all(c > 0 for c in arg.terms.coeffs.values())
+    positive_hd = fn == "hd" and all(c > 0 for c in arg.coeffs.values())
     if fn in _SEGMENT_TERMS and not positive_hd:
         _check_bound(fn, term_bound(fn, arg))
     if fn == "mw":  # at most one dual and one trimmed segment per exponent
-        size = sum(key.size for key in arg.terms.coeffs)
+        size = sum(key.size for key in arg.coeffs)
         _check_bound(fn, 2 * size, "new segments")
     try:
         return _RING_FUNCTIONS[fn](arg, ctx)

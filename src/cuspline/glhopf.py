@@ -1,7 +1,8 @@
 """The graded ring of general-linear blocks with its two rigid bases.
 
 Elements (``GLElt``) are integer combinations of multisegment keys, tensors
-(``TensorGL``) of pairs of keys; both are ``core.LinearElt`` subclasses.  A
+(``TensorGL``) of pairs of keys; both are ``core.LinearElt`` subclasses,
+so ``FormalSum``s read in one basis, whose coefficients are ``x.coeffs``.  A
 key denotes a product of generators, one per segment: in the ``delta`` basis
 the generator attached to a segment is the essentially-square-integrable
 representation of that segment, in the ``zeta`` basis it is the
@@ -47,6 +48,7 @@ from .core import (
     MixedBasisError,
     Multisegment,
     Segment,
+    _lifted,
     _linear_elt,
     ms,
 )
@@ -74,15 +76,15 @@ class GLElt(LinearElt):
     def __mul__(self, other: "GLElt") -> "GLElt":
         """Product = multiset concatenation of keys (bilinear)."""
         self._require_same(other)
-        return self._with(self.terms.combine(other.terms, Multisegment.__add__))
+        return self._with(self.combine(other, Multisegment.__add__).coeffs)
 
 
 def delta_key(m: Multisegment, coeff: int = 1) -> GLElt:
-    return _linear_elt(GLElt, DELTA, FormalSum.lift(m, coeff))
+    return _linear_elt(GLElt, DELTA, _lifted(m, coeff))
 
 
 def zeta_key(m: Multisegment, coeff: int = 1) -> GLElt:
-    return _linear_elt(GLElt, ZETA, FormalSum.lift(m, coeff))
+    return _linear_elt(GLElt, ZETA, _lifted(m, coeff))
 
 
 class TensorGL(LinearElt):
@@ -102,19 +104,19 @@ class TensorGL(LinearElt):
         self._require_same(other)
         out: dict = {}
         get = out.get
-        pairs = other.terms.coeffs.items()
-        for (l1, r1), c1 in self.terms.coeffs.items():
+        pairs = other.coeffs.items()
+        for (l1, r1), c1 in self.coeffs.items():
             for (l2, r2), c2 in pairs:
                 key = (l1 + l2, r1 + r2)
                 out[key] = get(key, 0) + c1 * c2
-        return self._with(FormalSum._clean(out))
+        return self._with(out)
 
     def coefficient(self, left: Multisegment, right: Multisegment) -> int:
-        return self.terms[(left, right)]
+        return self[(left, right)]
 
     def left_part(self, right: Multisegment) -> FormalSum:
-        """The coefficient sum of all terms with the given right key."""
-        return self.terms.filter_keys(lambda k: k[1] == right).map_keys(lambda k: k[0])
+        """The plain sum of the left keys paired with ``right``."""
+        return FormalSum._raw({l: c for (l, r), c in self.coeffs.items() if r == right})
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +188,13 @@ def _linear_extension(
     x: GLElt, f: Callable[[Multisegment, str], TensorGL]
 ) -> TensorGL:
     """Linear extension of a key -> tensor map."""
-    coeffs = x.terms.coeffs
+    coeffs = x.coeffs
     if len(coeffs) == 1:
         [(key, c)] = coeffs.items()
         if c == 1:  # tensors are immutable: share the key's value
             return f(key, x.basis)
     basis = x.basis
-    return TensorGL(basis, x.terms.bind(lambda key: f(key, basis).terms))
+    return TensorGL(basis, x.bind(lambda key: f(key, basis)))
 
 
 def comult(x: GLElt) -> TensorGL:
@@ -226,10 +228,10 @@ def twisted_comult_compositional(x: GLElt, ctx: Context = DEFAULT_CONTEXT) -> Te
     """
     first = comult(x)
     out = {}
-    for (left, right), c in first.terms.coeffs.items():
+    for (left, right), c in first.coeffs.items():
         dual_right = contragredient_key(right, ctx)
         inner = comult_key(left, x.basis)
-        for (u, v), c2 in inner.terms.coeffs.items():
+        for (u, v), c2 in inner.coeffs.items():
             key = (dual_right + u, v)
             out[key] = out.get(key, 0) + c * c2
     return TensorGL(x.basis, FormalSum(out))
@@ -238,7 +240,7 @@ def twisted_comult_compositional(x: GLElt, ctx: Context = DEFAULT_CONTEXT) -> Te
 def _require_selfdual_support(x: GLElt, ctx: Context) -> None:
     """The context enters the twisted restriction only through this check,
     so it runs on every call, before any cache is read."""
-    for line in {s.line for key in x.terms.coeffs for s in key}:
+    for line in {s.line for key in x.coeffs for s in key}:
         ctx.require_selfdual(line)
 
 
@@ -324,7 +326,7 @@ def gl_twisted_part(x: GLElt, ctx: Context = DEFAULT_CONTEXT) -> GLElt:
     basis = x.basis
     return GLElt(
         basis,
-        x.terms.bind(
+        x.bind(
             lambda m: _segmentwise_product(m, lambda s: gl_twisted_part_segment(s, basis))
         ),
     )
@@ -382,7 +384,7 @@ def _change_basis(x: GLElt, source: str, target: str, name: str) -> GLElt:
         raise MixedBasisError(f"{name} needs a {source}-basis element")
     return GLElt(
         target,
-        x.terms.bind(lambda m: _segmentwise_product(m, zeta_segment_delta_expansion)),
+        x.bind(lambda m: _segmentwise_product(m, zeta_segment_delta_expansion)),
     )
 
 
@@ -418,14 +420,14 @@ def derivative(x: GLElt) -> GLElt:
     if x.basis != ZETA:
         raise MixedBasisError("the derivative is defined on the zeta basis only")
     return GLElt(
-        ZETA, x.terms.bind(lambda m: _segmentwise_product(m, _derivative_segment))
+        ZETA, x.bind(lambda m: _segmentwise_product(m, _derivative_segment))
     )
 
 
 def _lowest_part(terms: FormalSum) -> FormalSum:
     """The terms of least total support size (zero stays zero)."""
     low = min((key.size for key in terms.coeffs), default=0)
-    return terms.filter_keys(lambda key: key.size == low)
+    return terms.filter(lambda key: key.size == low)
 
 
 @lru_cache(maxsize=None)
@@ -439,12 +441,12 @@ def highest_derivative(x: GLElt) -> GLElt:
     """Lowest nonzero graded part of the derivative.  On positive input
     nothing cancels, so a key's part is the product of its segments' lowest
     parts ([Z]: a ring map); signed input takes the full expansion."""
-    if x.basis == ZETA and all(c > 0 for c in x.terms.coeffs.values()):
-        d = x.terms.bind(
+    if x.basis == ZETA and all(c > 0 for c in x.coeffs.values()):
+        d = x.bind(
             lambda m: _segmentwise_product(m, _lowest_derivative_segment)
         )
     else:  # signed input, or delta-basis input that ``derivative`` rejects
-        d = derivative(x).terms
+        d = derivative(x)
     return GLElt(ZETA, _lowest_part(d))
 
 

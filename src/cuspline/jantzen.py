@@ -136,7 +136,7 @@ class LinePartition(JsonForm):
 
 def support_lines(x: Union[GLElt, ClassElt]) -> FrozenSet[str]:
     """The line ids a ring or module element is supported on."""
-    return frozenset().union(*(key.lines() for key in x.terms.coeffs))
+    return frozenset().union(*(key.lines() for key in x.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ def filtered_identity_sides(
         raise PartitionError("right factor must be supported on side 2")
     lhs = module_comult_filtered(rtimes(x, y), p, 1, ctx)
     ring_part = gl_twisted_part(x, ctx)
-    pairs = ring_part.terms.combine(y.terms, lambda m, sym: (m, sym))
+    pairs = ring_part.combine(y, lambda m, sym: (m, sym))
     return lhs, TensorClass(pairs)
 
 

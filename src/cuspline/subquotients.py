@@ -213,7 +213,12 @@ class SubqDatum(JsonForm):
 
     # -- block structure ---------------------------------------------------
     def blocks(self) -> Tuple[Segment, ...]:
-        """Blocks of the tiling, top block first."""
+        """Blocks of the tiling, top block first, built on the first call and
+        kept on the datum, outside its fields and its pickle."""
+        return self._blocks
+
+    @cached_property
+    def _blocks(self) -> Tuple[Segment, ...]:
         out = []
         start = self.alpha
         for i in range(self.n):
@@ -227,6 +232,9 @@ class SubqDatum(JsonForm):
         body = ",".join(str(b) for b in self.blocks())
         flag = "St" if self.bottom else "L"
         return f"subq({body};{flag};{self.sigma})"
+
+    def __getstate__(self) -> dict:  # a datum pickles by its fields alone
+        return {k: v for k, v in self.__dict__.items() if k != "_blocks"}
 
     _JSON_FIELDS = ("line", "sigma", "alpha", "n", "cuts", "bottom")
 
@@ -497,7 +505,7 @@ def _witness_terms(sym: Segment, alpha2: int) -> _WitnessTerms:
     single: List[Tuple[Multisegment, Multisegment, Counter]] = []
     multi: List[Tuple[Multisegment, Multisegment, Counter]] = []
     odd = doubled = None
-    for (left, right), coeff in twisted_comult(delta_key(ms(sym))).terms.coeffs.items():
+    for (left, right), coeff in twisted_comult(delta_key(ms(sym))).coeffs.items():
         lsupp = _key_supp(left)
         if doubled is None and lsupp[-alpha2] > 1:
             doubled = left
@@ -515,14 +523,14 @@ def _witness_terms(sym: Segment, alpha2: int) -> _WitnessTerms:
 @lru_cache(maxsize=1024)
 def _left_factors(atom) -> frozenset:
     """The left keys of the restriction of a base atom."""
-    return frozenset(left for (left, _right) in module_comult_base(atom).terms.coeffs)
+    return frozenset(left for (left, _right) in module_comult_base(atom).coeffs)
 
 
 @lru_cache(maxsize=1024)
 def _top_merge_term(block: Segment, c2: int) -> Optional[Multisegment]:
     """The first key of the GL restriction of delta(block) whose support
     carries c = c2 / 2 without c + 1, or None."""
-    for key in gl_twisted_part(delta_key(ms(block))).terms.coeffs:
+    for key in gl_twisted_part(delta_key(ms(block))).coeffs:
         supp = _key_supp(key)
         if supp[c2] > 0 and supp[c2 + 2] == 0:
             return key
@@ -533,7 +541,7 @@ def _top_merge_term(block: Segment, c2: int) -> Optional[Multisegment]:
 def _segment_ending(block: Segment, end2: int) -> Optional[Segment]:
     """The first segment ending at end2 / 2 in a key of the GL restriction
     of delta(block), or None."""
-    for key in gl_twisted_part(delta_key(ms(block))).terms.coeffs:
+    for key in gl_twisted_part(delta_key(ms(block))).coeffs:
         for s in key:
             if s.e.num2 == end2:
                 return s
@@ -698,7 +706,7 @@ def _check_distinct(certs: Sequence[LanglandsDatum]) -> str:
 
 
 def _check_witness_window(f: _CaseFrame) -> str:
-    return _witness_window(tuple(f.witness.terms.coeffs), f.d.alpha.num2, f.d.n)
+    return _witness_window(tuple(f.witness.coeffs), f.d.alpha.num2, f.d.n)
 
 
 @lru_cache(maxsize=1024)
@@ -861,7 +869,7 @@ def _check_multi_need_case_a(f: _CaseFrame, multi) -> str:
     """A completion needing both signed endpoints would need one factor of
     the right tensorand's restriction to carry -alpha and +alpha together."""
     neg, pos = -f.d.alpha.num2, f.d.alpha.num2
-    pivot_part = gl_twisted_part(delta_key(ms(f.pivot))).terms.coeffs
+    pivot_part = gl_twisted_part(delta_key(ms(f.pivot))).coeffs
     upper_pm = _pm(_supp(*f.upper))
     if (
         # a completion of another shape is not covered; be conservative
@@ -968,7 +976,7 @@ def _run_check(
         f"the involution partner {inner.datum} is bottom-empty with a long "
         "block, so the bottom-empty machinery applies to it",
     )
-    (key,) = inner.witness.terms.coeffs
+    (key,) = inner.witness.coeffs
     return CertReport(
         CaseTag.CASE_C,
         d,

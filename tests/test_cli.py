@@ -565,6 +565,21 @@ class TestGenericCheck:
         code, _, _ = run(capsys, "generic-check", path)
         assert code == 0
 
+    def test_float_exponents_exit_2(self, capsys, tmp_path):
+        # the binary floats 0.3 and 0.7 are not 3/10 and 7/10
+        path = self.write(tmp_path, [{"label": "a", "exponents": [0.3, 0.7]}])
+        code, out, err = run(capsys, "generic-check", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: not an exponent: 0.3")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exponents", [["3/10", "7/10"], ["0.3", "0.7"]])
+    def test_string_exponents_are_exact(self, capsys, tmp_path, exponents):
+        path = self.write(tmp_path, [{"label": "a", "exponents": exponents}])
+        code, out, _ = run(capsys, "generic-check", path)
+        assert code == 1
+        assert "verdict: not unitarizable" in out
+
     def test_number_past_the_digit_limit_exit_2(self, capsys, tmp_path):
         path = tmp_path / "data.json"
         path.write_text('[{"label": "a", "exponents": [%s]}]' % ("1" * 4301))

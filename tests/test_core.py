@@ -32,6 +32,7 @@ from cuspline.core import (
     seg_opt,
     linked_union,
 )
+from cuspline.classical import ClassElt, CuspSymbol, induced, module_comult
 from cuspline.dsl import evaluate
 from cuspline.halfint import HalfInt, hi
 from cuspline.sampling import random_multisegment, random_segment
@@ -630,6 +631,66 @@ class TestFormalSum:
         assert (ms(seg(0, 1)), "x") in FormalSum.lift((ms(seg(0, 1)), "x"), 3)
         assert ms(seg(0, 1)) not in FormalSum.lift((ms(seg(0, 1)), "x"), 3)
         assert "a" not in s - s
+
+
+def one_element_of_each_kind():
+    m = ms(seg(1, 1))
+    y = ClassElt.cusp() + induced(m, CuspSymbol())
+    return {
+        "ring": glhopf.delta_key(m),
+        "ring tensor": glhopf.comult(glhopf.delta_key(ms(seg(0, 1)))),
+        "module": y,
+        "module tensor": module_comult(y),
+    }
+
+
+@pytest.mark.parametrize("kind", ["ring", "ring tensor", "module", "module tensor"])
+class TestElementIsItsSum:
+    """An element is one object: a ``FormalSum`` with a basis slot, whose
+    ``terms`` is a plain sum sharing its coefficients."""
+
+    def test_a_slotted_formal_sum(self, kind):
+        x = one_element_of_each_kind()[kind]
+        assert isinstance(x, FormalSum)
+        assert not hasattr(x, "__dict__")
+
+    def test_terms_is_a_plain_sum_on_the_same_dict(self, kind):
+        x = one_element_of_each_kind()[kind]
+        assert type(x.terms) is FormalSum
+        assert x.terms.coeffs is x.coeffs
+
+    def test_never_equal_to_its_plain_sum(self, kind):
+        x = one_element_of_each_kind()[kind]
+        assert (x == x.terms) is False and (x.terms == x) is False
+        assert x != x.terms and x.terms != x
+        assert x.terms == FormalSum(dict(x.coeffs))
+        with pytest.raises(TypeError):
+            x + x.terms
+        with pytest.raises(TypeError):
+            x.terms + x
+
+    def test_same_kind_operations_keep_kind_and_basis(self, kind):
+        x = one_element_of_each_kind()[kind]
+        for y in (x + x, x - 3 * x, -x, x.map_keys(lambda k: k), x.filter(lambda k: True)):
+            assert type(y) is type(x) and y.basis == x.basis
+        assert (x + x).coeffs == {k: 2 * c for k, c in x.coeffs.items()}
+        assert type(x.bind(lambda k: FormalSum.lift(k))) is FormalSum
+
+    def test_zero_is_falsy_and_the_support_is_readable(self, kind):
+        x = one_element_of_each_kind()[kind]
+        for zero in (x - x, 0 * x, x.filter(lambda k: False)):
+            assert type(zero) is type(x) and not zero and len(zero) == 0
+        assert x and len(x) == len(x.coeffs) > 0
+        for k, c in x.coeffs.items():
+            assert k in x and x[k] == c
+
+
+def test_left_part_is_a_plain_sum():
+    t = glhopf.comult(glhopf.delta_key(ms(seg(0, 1), seg(3, 3))))
+    part = t.left_part(EMPTY_MS)
+    assert type(part) is FormalSum
+    assert part.coeffs == {l: c for (l, r), c in t.coeffs.items() if r is EMPTY_MS}
+    assert ms(seg(0, 1), seg(3, 3)) in part
 
 
 class TestClearCaches:

@@ -1,4 +1,5 @@
 """Tests for the generic-unitarizability decision procedure."""
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -129,6 +130,15 @@ class TestValidation:
     def test_unrepresentable_exponent(self, value):
         with pytest.raises(MalformedDatumError, match="not an exponent"):
             GenericDatum("a", (value,), True, False)
+
+    @pytest.mark.parametrize("value", [0.5, 0.3, Decimal("0.3"), None, True])
+    def test_inexact_or_foreign_exponent(self, value):
+        with pytest.raises(MalformedDatumError, match="not an exponent"):
+            GenericDatum("a", (value,), True, False)
+
+    def test_exact_exponent_types(self):
+        d = GenericDatum("a", (1, "0.3", F(2, 5), hi("1/2")), True, False)
+        assert d.exponents == (F(3, 10), F(2, 5), F(1, 2), F(1))
 
     def test_selfdual_with_partner(self):
         with pytest.raises(MalformedDatumError):

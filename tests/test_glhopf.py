@@ -102,7 +102,7 @@ class TestComult:
         # the 1 (x) * part of the coproduct of a key is 1 (x) key
         m = ms(seg(0, 2), seg(1, 1))
         got = comult(delta_key(m))
-        ones = got.terms.filter_keys(lambda k: k[0] == EMPTY_MS)
+        ones = got.terms.filter(lambda k: k[0] == EMPTY_MS)
         assert ones == FormalSum.lift((EMPTY_MS, m))
 
     def test_linear_on_multi_key_and_scaled_elements(self):
@@ -672,7 +672,7 @@ def _highest_derivative_full(x: GLElt) -> GLElt:
     if not terms.coeffs:
         return GLElt.zero(ZETA)
     low = min(key.size for key in terms.coeffs)
-    return GLElt(ZETA, terms.filter_keys(lambda key: key.size == low))
+    return GLElt(ZETA, terms.filter(lambda key: key.size == low))
 
 
 @st.composite

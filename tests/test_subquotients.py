@@ -1,4 +1,5 @@
 """Tests for subquotient labels, classification, and the counting checks."""
+import pickle
 import random
 from collections import Counter
 from dataclasses import fields, replace
@@ -102,6 +103,23 @@ class TestEnumeration:
                 (x.num2 for b in d.blocks() for x in b.exponents())
             )
             assert exps == [2 * (1 + i) for i in range(4)]
+
+    def test_blocks_are_built_once_and_stay_out_of_the_value(self):
+        for d in enumerate_subquotients("3/2", 3):
+            fresh = replace(d)
+            before = pickle.dumps(d)
+            text = str(d)  # rendering builds the tiling
+            assert d.blocks() is d.blocks()
+            assert d.blocks() == fresh.blocks() and str(fresh) == text
+            assert d == fresh and hash(d) == hash(fresh)
+            assert pickle.dumps(d) == before
+            back = pickle.loads(before)
+            assert back == d and back.blocks() == d.blocks()
+            assert d.to_jsonable() == fresh.to_jsonable()
+            assert set(d.to_jsonable()) == {f.name for f in fields(d)}
+            other = replace(d, bottom=not d.bottom)
+            assert other != d and other.blocks() == d.blocks()
+            assert other.blocks() is not d.blocks()
 
     def test_rejects_nonpositive_alpha(self):
         from cuspline.classical import DatumError
@@ -457,7 +475,7 @@ class TestPerKeyMemos:
             for s in ms(f.sym) + f.full:
                 terms = derivative(zeta_key(ms(s))).terms
                 low = min(key.size for key in terms.coeffs)
-                lowest = terms.filter_keys(lambda key: key.size == low)
+                lowest = terms.filter(lambda key: key.size == low)
                 assert _lowest_derivative_segment(s) == lowest, s
 
 
