@@ -24,7 +24,9 @@ import json
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .core import Context, CusplineError, DEFAULT_CONTEXT, Line, Multisegment, Segment
+from .core import (
+    MAX_DIGITS, Context, CusplineError, DEFAULT_CONTEXT, Line, Multisegment, Segment,
+)
 from .glhopf import GLElt
 from .halfint import HalfInt, hi
 from .classical import ClassElt
@@ -49,7 +51,7 @@ from .jantzen import (
     twisted_comult_filtered,
 )
 from .criteria import GenericDatum, MalformedDatumError, generic_unitarizable
-from .dsl import MAX_DIGITS, DslTypeError, evaluate
+from .dsl import DslTypeError, evaluate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -203,7 +205,7 @@ def _repeated_text(value) -> str:
 def parse_alpha(text: str) -> HalfInt:
     """A reducibility exponent written as ``2``, ``-1`` or ``5/2``, as
     ``--alpha`` and a context file give it.  ValueError for a number of more
-    than ``dsl.MAX_DIGITS`` digits and for a value above ``MAX_ALPHA``."""
+    than ``MAX_DIGITS`` digits and for a value above ``MAX_ALPHA``."""
     digits = sum(map(str.isdigit, text.partition("/")[0]))
     if digits > MAX_DIGITS:
         raise ValueError(f"number of {digits} digits, more than {MAX_DIGITS}")

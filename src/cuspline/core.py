@@ -31,6 +31,7 @@ from typing import Callable, Dict, Generic, Hashable, Iterable, Iterator, Mappin
 from .halfint import HalfInt, hi
 
 DEFAULT_LINE = "rho"
+MAX_DIGITS = 1000  # far below Python's limit on int-to-text conversion (4300)
 
 
 class CusplineError(Exception):

@@ -2,9 +2,16 @@
 
 Input is a bundle of per-label data: for each essentially-square-integrable
 label, the multiset of exponents it carries in the Langlands product, plus
-three reducibility flags.  The decision applies a fixed list of window and
-parity conditions and returns a verdict together with a deterministic
-condition-by-condition trace.
+three reducibility flags.  The verdict comes with a deterministic trace: for
+each label in sorted order, one step per condition, in table order.  Each
+condition reads the label and gives a status (PASS, FAIL or SKIP) and a detail.
+The hermitian condition comes first.  A non-selfdual label, or one whose
+half-shift reduces, then meets the strict window (every exponent below 1/2).
+Any other label meets the six rows of ``_PARITY_WINDOW``: the normal form (the
+exponents above 1/2 lie below 1 and are distinct), no complementary pair
+summing to 1, 1/2 at most once, and three parities (top, interval, length).
+Once the normal form fails, every later condition is SKIP with the detail
+"normal form failed".
 
 The predicate never looks at which cuspidal line carries a label — only at
 the flags and the exponent multisets — so relabeling lines with equal
@@ -12,11 +19,12 @@ reducibility points leaves every verdict unchanged.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import CusplineError, JsonForm
+from .core import MAX_DIGITS, CusplineError, JsonForm
 from .halfint import HalfInt
 
 PASS = "PASS"
@@ -32,11 +40,18 @@ class MalformedDatumError(CusplineError):
 
 
 def _fraction(value) -> Fraction:
-    """An exact exponent; a float is refused, as 0.3 is not 3/10 in binary."""
+    """An exact exponent; a float is refused, as 0.3 is not 3/10 in binary,
+    and so is a string in exponent notation or of more than ``MAX_DIGITS``
+    digits, whose exact value can take unbounded time to build."""
     if isinstance(value, HalfInt):
         return value.as_fraction()
     if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
         raise MalformedDatumError(f'not an exponent: {value!r}; write 0.3 as "3/10"')
+    digits = sum(map(str.isdigit, value)) if isinstance(value, str) else 0
+    if digits > MAX_DIGITS:
+        raise MalformedDatumError(f"not an exponent: {digits} digits, more than {MAX_DIGITS}")
+    if isinstance(value, str) and "e" in value.lower():
+        raise MalformedDatumError(f"not an exponent: {value!r}; exponent notation is refused")
     try:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -64,12 +79,11 @@ class GenericDatum(JsonForm):
 
     def __post_init__(self):
         exps = tuple(sorted(_fraction(e) for e in self.exponents))
-        for e in exps:
-            if e <= 0:
-                raise MalformedDatumError(
-                    f"label {self.label!r} lists a non-positive exponent {e}; "
-                    "the Langlands normal form needs strictly positive ones"
-                )
+        if exps and exps[0] <= 0:
+            raise MalformedDatumError(
+                f"label {self.label!r} lists a non-positive exponent {exps[0]}; "
+                "the Langlands normal form needs strictly positive ones"
+            )
         object.__setattr__(self, "exponents", exps)
         if self.selfdual and self.partner not in (None, self.label):
             raise MalformedDatumError(
@@ -117,18 +131,11 @@ class CriterionResult(JsonForm):
 
     @property
     def first_failure(self) -> Optional[CriterionStep]:
-        for s in self.steps:
-            if s.status == FAIL:
-                return s
-        return None
+        return next((s for s in self.steps if s.status == FAIL), None)
 
     def render_lines(self) -> List[str]:
-        out = [s.render() for s in self.steps]
-        out.append(
-            "verdict: unitarizable" if self.unitarizable
-            else "verdict: not unitarizable"
-        )
-        return out
+        verdict = "unitarizable" if self.unitarizable else "not unitarizable"
+        return [s.render() for s in self.steps] + [f"verdict: {verdict}"]
 
     _JSON_FIELDS = ("unitarizable", "steps")
 
@@ -137,206 +144,112 @@ class CriterionResult(JsonForm):
 # The decision procedure
 # ---------------------------------------------------------------------------
 
-def _hermitian_step(
-    d: GenericDatum, by_label: Mapping[str, GenericDatum]
-) -> CriterionStep:
-    if d.selfdual:
-        return CriterionStep(
-            d.label,
-            "hermitian",
-            PASS,
-            "selfdual label: exponent multiset matches its own contragredient",
-        )
-    partner = by_label.get(d.partner) if d.partner is not None else None
-    partner_exps: Tuple[Fraction, ...] = (
-        partner.exponents if partner is not None else ()
-    )
-    if partner_exps == d.exponents:
-        return CriterionStep(
-            d.label,
-            "hermitian",
-            PASS,
-            "contragredient partner carries the same exponent multiset",
-        )
-    return CriterionStep(
-        d.label,
-        "hermitian",
-        FAIL,
-        f"exponents {list(map(str, d.exponents))} do not match the "
-        f"contragredient's {list(map(str, partner_exps))}",
+class _Label(NamedTuple):
+    """One label as its conditions read it: the datum, the exponents of its
+    contragredient, and its exponents at or below 1/2 and above 1/2."""
+
+    d: GenericDatum
+    dual: Tuple[Fraction, ...]
+    low: Tuple[Fraction, ...]
+    high: Tuple[Fraction, ...]
+
+
+def _hermitian(x: _Label) -> Tuple[str, str]:
+    if x.d.selfdual:
+        return PASS, "selfdual label: exponent multiset matches its own contragredient"
+    if x.dual == x.d.exponents:
+        return PASS, "contragredient partner carries the same exponent multiset"
+    return FAIL, (
+        f"exponents {list(map(str, x.d.exponents))} do not match the "
+        f"contragredient's {list(map(str, x.dual))}"
     )
 
 
-def _strict_window_step(d: GenericDatum) -> CriterionStep:
-    bad = [e for e in d.exponents if e >= HALF]
-    reason = (
-        "non-selfdual label" if not d.selfdual else "reducible half-shift"
-    )
+def _strict_window(x: _Label) -> Tuple[str, str]:
+    reason = "reducible half-shift" if x.d.selfdual else "non-selfdual label"
+    bad = [e for e in x.d.exponents if e >= HALF]
     if bad:
-        return CriterionStep(
-            d.label,
-            "strict-window",
-            FAIL,
-            f"{reason}: every exponent must be below 1/2, found "
-            f"{list(map(str, bad))}",
+        return FAIL, (
+            f"{reason}: every exponent must be below 1/2, found {list(map(str, bad))}"
         )
-    return CriterionStep(
-        d.label,
-        "strict-window",
-        PASS,
-        f"{reason}: all exponents lie strictly between 0 and 1/2",
-    )
+    return PASS, f"{reason}: all exponents lie strictly between 0 and 1/2"
 
 
-def _parity_window_steps(d: GenericDatum) -> List[CriterionStep]:
-    alphas = [e for e in d.exponents if e <= HALF]
-    betas = [e for e in d.exponents if e > HALF]
-    steps: List[CriterionStep] = []
-
+def _normal_form(x: _Label) -> Tuple[str, str]:
     problems = []
-    if any(b >= ONE for b in betas):
+    if any(b >= ONE for b in x.high):
         problems.append("an exponent at or above 1")
-    if len(set(betas)) != len(betas):
+    if len(set(x.high)) != len(x.high):
         problems.append("a repeated exponent above 1/2")
     if problems:
-        steps.append(
-            CriterionStep(
-                d.label,
-                "normal-form",
-                FAIL,
-                "exponents admit no strictly increasing tail below 1: "
-                + " and ".join(problems),
-            )
+        return FAIL, (
+            "exponents admit no strictly increasing tail below 1: "
+            + " and ".join(problems)
         )
-        for name in (
-            "pair-sum",
-            "half-multiplicity",
-            "top-parity",
-            "interval-parity",
-            "length-parity",
-        ):
-            steps.append(
-                CriterionStep(d.label, name, SKIP, "normal form failed")
-            )
-        return steps
-    steps.append(
-        CriterionStep(
-            d.label,
-            "normal-form",
-            PASS,
-            f"{len(alphas)} exponents at or below 1/2, "
-            f"{len(betas)} strictly increasing between 1/2 and 1",
-        )
+    return PASS, (
+        f"{len(x.low)} exponents at or below 1/2, "
+        f"{len(x.high)} strictly increasing between 1/2 and 1"
     )
 
-    pairs = [f"{a}+{b}" for a in alphas for b in betas if a + b == ONE]
+
+def _pair_sum(x: _Label) -> Tuple[str, str]:
+    pairs = sorted({f"{a}+{b}" for a in x.low for b in x.high if a + b == ONE})
     if pairs:
-        steps.append(
-            CriterionStep(
-                d.label,
-                "pair-sum",
-                FAIL,
-                f"complementary pair sums to 1: {', '.join(sorted(set(pairs)))}",
-            )
-        )
-    else:
-        steps.append(
-            CriterionStep(
-                d.label,
-                "pair-sum",
-                PASS,
-                "no low exponent pairs with a high one to sum 1",
-            )
-        )
+        return FAIL, f"complementary pair sums to 1: {', '.join(pairs)}"
+    return PASS, "no low exponent pairs with a high one to sum 1"
 
-    halves = sum(1 for a in alphas if a == HALF)
+
+def _half_multiplicity(x: _Label) -> Tuple[str, str]:
+    halves = x.low.count(HALF)
     if halves > 1:
-        steps.append(
-            CriterionStep(
-                d.label,
-                "half-multiplicity",
-                FAIL,
-                f"exponent 1/2 occurs {halves} times; at most once allowed",
-            )
-        )
-    else:
-        steps.append(
-            CriterionStep(
-                d.label,
-                "half-multiplicity",
-                PASS,
-                f"exponent 1/2 occurs {halves} time(s)",
-            )
-        )
+        return FAIL, f"exponent 1/2 occurs {halves} times; at most once allowed"
+    return PASS, f"exponent 1/2 occurs {halves} time(s)"
 
-    if betas:
-        top = sum(1 for a in alphas if a > ONE - betas[0])
-        status = PASS if top % 2 == 0 else FAIL
-        steps.append(
-            CriterionStep(
-                d.label,
-                "top-parity",
-                status,
-                f"{top} low exponents above {ONE - betas[0]} "
-                f"(the complement of the smallest high one); must be even",
-            )
-        )
-    else:
-        steps.append(
-            CriterionStep(
-                d.label, "top-parity", SKIP, "no exponents above 1/2"
-            )
-        )
 
-    if len(betas) >= 2:
-        odd_all = True
-        counts = []
-        for j in range(len(betas) - 1):
-            lo, hi_ = ONE - betas[j + 1], ONE - betas[j]
-            count = sum(1 for a in alphas if lo < a < hi_)
-            counts.append(count)
-            if count % 2 == 0:
-                odd_all = False
-        steps.append(
-            CriterionStep(
-                d.label,
-                "interval-parity",
-                PASS if odd_all else FAIL,
-                f"counts between consecutive complement windows: {counts}; "
-                "each must be odd",
-            )
-        )
-    else:
-        steps.append(
-            CriterionStep(
-                d.label,
-                "interval-parity",
-                SKIP,
-                "fewer than two exponents above 1/2",
-            )
-        )
+def _top_parity(x: _Label) -> Tuple[str, str]:
+    if not x.high:
+        return SKIP, "no exponents above 1/2"
+    bound = ONE - x.high[0]
+    top = sum(1 for a in x.low if a > bound)
+    return (PASS if top % 2 == 0 else FAIL), (
+        f"{top} low exponents above {bound} "
+        "(the complement of the smallest high one); must be even"
+    )
 
-    if d.tau_red:
-        total = len(alphas) + len(betas)
-        steps.append(
-            CriterionStep(
-                d.label,
-                "length-parity",
-                PASS if total % 2 == 0 else FAIL,
-                f"label induces reducibly against the tempered part, so the "
-                f"exponent count {total} must be even",
-            )
-        )
-    else:
-        steps.append(
-            CriterionStep(
-                d.label,
-                "length-parity",
-                SKIP,
-                "label induces irreducibly against the tempered part",
-            )
-        )
-    return steps
+
+def _interval_parity(x: _Label) -> Tuple[str, str]:
+    if len(x.high) < 2:
+        return SKIP, "fewer than two exponents above 1/2"
+    counts = [
+        sum(1 for a in x.low if ONE - above < a < ONE - below)
+        for below, above in zip(x.high, x.high[1:])
+    ]
+    return (PASS if all(c % 2 for c in counts) else FAIL), (
+        f"counts between consecutive complement windows: {counts}; "
+        "each must be odd"
+    )
+
+
+def _length_parity(x: _Label) -> Tuple[str, str]:
+    if not x.d.tau_red:
+        return SKIP, "label induces irreducibly against the tempered part"
+    total = len(x.d.exponents)
+    return (PASS if total % 2 == 0 else FAIL), (
+        "label induces reducibly against the tempered part, so the "
+        f"exponent count {total} must be even"
+    )
+
+
+_HERMITIAN = ("hermitian", _hermitian)
+_STRICT_WINDOW = (("strict-window", _strict_window),)
+_PARITY_WINDOW = (
+    ("normal-form", _normal_form),
+    ("pair-sum", _pair_sum),
+    ("half-multiplicity", _half_multiplicity),
+    ("top-parity", _top_parity),
+    ("interval-parity", _interval_parity),
+    ("length-parity", _length_parity),
+)
 
 
 def generic_unitarizable(data: Sequence[GenericDatum]) -> CriterionResult:
@@ -361,11 +274,15 @@ def generic_unitarizable(data: Sequence[GenericDatum]) -> CriterionResult:
     steps: List[CriterionStep] = []
     for label in sorted(by_label):
         d = by_label[label]
-        steps.append(_hermitian_step(d, by_label))
-        if (not d.selfdual) or d.halfred:
-            steps.append(_strict_window_step(d))
-        else:
-            steps.extend(_parity_window_steps(d))
+        dual = by_label[d.partner].exponents if d.partner in by_label else ()
+        split = bisect_right(d.exponents, HALF)
+        x = _Label(d, dual, d.exponents[:split], d.exponents[split:])
+        window = _STRICT_WINDOW if (not d.selfdual) or d.halfred else _PARITY_WINDOW
+        form_failed = False
+        for name, condition in (_HERMITIAN, *window):
+            status, detail = (SKIP, "normal form failed") if form_failed else condition(x)
+            steps.append(CriterionStep(label, name, status, detail))
+            form_failed = form_failed or (condition is _normal_form and status == FAIL)
     ok = all(s.status != FAIL for s in steps)
     return CriterionResult(ok, tuple(steps))
 

@@ -41,7 +41,9 @@ from math import prod
 from operator import mul
 from typing import List, Tuple
 
-from .core import Context, CusplineError, DEFAULT_CONTEXT, EMPTY_MS, Segment, ms
+from .core import (
+    MAX_DIGITS, Context, CusplineError, DEFAULT_CONTEXT, EMPTY_MS, Segment, ms,
+)
 from .halfint import HalfInt
 from .glhopf import (
     GLElt,
@@ -192,7 +194,6 @@ FUNCTIONS = ("mstar", "Mstar", "mustar", "mw", "dual", "D", "hd")
 MAX_LENGTH = 10_000
 MAX_NESTING = 100
 MAX_TERMS = 100_000
-MAX_DIGITS = 1000  # far below Python's limit on int-to-text conversion (4300)
 
 # Terms each expanding function makes from one segment of a given length.
 _SEGMENT_TERMS = {

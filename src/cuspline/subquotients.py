@@ -327,13 +327,12 @@ def _key_supp(m: Multisegment) -> Counter:
     return _supp(*m)
 
 
-def _pm(c: Counter) -> Counter:
-    """Support closed under sign flip (counts added)."""
-    out: Counter = Counter()
-    for x, k in c.items():
-        out[x] += k
-        out[-x] += k
-    return out
+def _carrying(x2: int, *segments: Segment) -> int:
+    """How many of ``segments`` carry the exponent x2 / 2: ``_supp(*segments)[x2]``
+    without building the Counter."""
+    return sum(
+        s.b.num2 <= x2 <= s.e.num2 and (x2 - s.b.num2) % 2 == 0 for s in segments
+    )
 
 
 def _is_multiplicity_free(c: Counter) -> bool:
@@ -406,13 +405,10 @@ class _CaseFrame:
         """How often the exponent x2 / 2 occurs in the marker, the support of
         dual(upper), the point -aa, dual(lower) and [-aa, c]: counted in
         doubled ints, with x in dual(s) exactly when -x is in s."""
-        aa2 = self.aa.num2
-        if (x2 - aa2) % 2:  # every exponent of the chain is aa plus an integer
-            return 0
         return (
-            sum(s.b.num2 <= -x2 <= s.e.num2 for s in self.upper + self.lower)
-            + (x2 == -aa2)
-            + (-aa2 <= x2 <= self.c.num2)
+            _carrying(-x2, *self.upper, *self.lower)
+            + (x2 == -self.aa.num2)
+            + _carrying(x2, self.merged)
         )
 
 
@@ -593,9 +589,8 @@ def _check_top_merge_exclusion(f: _CaseFrame) -> str:
             f"a term of the GL restriction of the merged block has {c} "
             f"without {c1}: {key}"
         )
-    rest_upper = _pm(_supp(*f.upper[:-1]))
-    side = rest_upper + _pm(_supp(f.sym)) + _pm(_supp(*f.lower))
-    if side[c.num2] > 0 or side[c1.num2] > 0:
+    side = (*f.upper[:-1], f.sym, *f.lower)
+    if any(_carrying(x2, *side) for x2 in (c.num2, -c.num2, c1.num2, -c1.num2)):
         raise _Refuted("side factors can reach the marker exponents")
     return (
         f"marker has {c} once and never {c1}; every GL-restriction term of "
@@ -616,7 +611,7 @@ def _check_double_point_exclusion(f: _CaseFrame) -> str:
     if left is not None:
         raise _Refuted(f"witness restriction term {left} carries {neg} twice")
     # the general-linear list of the bottom-attached branch misses -alpha
-    if _pm(_supp(*f.branch.gl))[neg.num2] > 0:
+    if _carrying(neg.num2, *f.branch.gl) or _carrying(-neg.num2, *f.branch.gl):
         raise _Refuted("branch list support reaches the doubled point")
     if any(_key_supp(left)[neg.num2] > 0 for left in _left_factors(f.branch.temp.base)):
         raise _Refuted("bottom atom restriction reaches the doubled point")
@@ -636,10 +631,8 @@ def _check_second_merge_exclusion(f: _CaseFrame) -> str:
     # ending at -alpha'
     # factor 1: the stretched Speh tail on [alpha, alpha'-2]; support only
     tail_lo, tail_hi = d.alpha, f.aa - 2
-    tail_supp: Counter = Counter()
-    if tail_lo <= tail_hi:
-        tail_supp = _pm(_supp(Segment(tail_lo, tail_hi, d.line)))
-    if tail_supp[neg_end.num2] > 0:
+    tail = (Segment(tail_lo, tail_hi, d.line),) if tail_lo <= tail_hi else ()
+    if _carrying(neg_end.num2, *tail) or _carrying(-neg_end.num2, *tail):
         raise _Refuted("stretched tail support reaches the forbidden end")
     # factor 2: witness terms end at alpha' only; factor 3: the
     # downward-merged block [alpha'-1, c]
@@ -649,7 +642,7 @@ def _check_second_merge_exclusion(f: _CaseFrame) -> str:
         if s is not None:
             raise _Refuted(f"{name} restriction segment {s} ends at {neg_end}")
     # factor 4: the upper list cannot supply it either
-    if _pm(_supp(*f.upper))[neg_end.num2] > 0:
+    if _carrying(neg_end.num2, *f.upper) or _carrying(-neg_end.num2, *f.upper):
         raise _Refuted("upper list support reaches the forbidden end")
     return (
         f"the required Jacquet term has a segment ending at {neg_end}, but "
@@ -870,13 +863,12 @@ def _check_multi_need_case_a(f: _CaseFrame, multi) -> str:
     the right tensorand's restriction to carry -alpha and +alpha together."""
     neg, pos = -f.d.alpha.num2, f.d.alpha.num2
     pivot_part = gl_twisted_part(delta_key(ms(f.pivot))).coeffs
-    upper_pm = _pm(_supp(*f.upper))
     if (
         # a completion of another shape is not covered; be conservative
         not all(need[neg] > 0 and need[pos] > 0 for _l, _r, need in multi)
         or any(s[neg] > 0 and s[pos] > 0 for s in (_supp(*k) for k in pivot_part))
-        or upper_pm[neg] > 0
-        or upper_pm[pos] > 0
+        or _carrying(neg, *f.upper)
+        or _carrying(pos, *f.upper)
     ):
         raise _Refuted(
             "a multi-exponent completion could carry both signed endpoints"

@@ -580,6 +580,15 @@ class TestGenericCheck:
         assert code == 1
         assert "verdict: not unitarizable" in out
 
+    def test_exponent_notation_exits_2_within_a_second(self, tmp_path):
+        # Fraction("1e30000000") builds 10**30000000: this ran for 32 s
+        path = self.write(tmp_path, [{"label": "a", "exponents": ["1e30000000"]}])
+        proc, cpu = _child("generic-check", path)
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        assert proc.stderr.startswith("error: not an exponent: '1e30000000'")
+        assert "Traceback" not in proc.stderr
+        assert cpu < 1.0
+
     def test_number_past_the_digit_limit_exit_2(self, capsys, tmp_path):
         path = tmp_path / "data.json"
         path.write_text('[{"label": "a", "exponents": [%s]}]' % ("1" * 4301))

@@ -1,9 +1,13 @@
 """Tests for the generic-unitarizability decision procedure."""
+import hashlib
+import itertools
+import json
 from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
+from cuspline import dsl
 from cuspline.core import EMPTY_MS, Context, Line, Segment
 from cuspline.classical import (
     CuspSymbol,
@@ -118,6 +122,32 @@ class TestTruthTable:
         assert data["unitarizable"] is True
         assert all("condition" in s for s in data["steps"])
 
+    def test_every_trace_on_a_grid_is_pinned(self):
+        # every multiset of 0-3 exponents p/q (2 <= q <= 6, p < 2q): a
+        # selfdual label under each flag setting, then a non-selfdual pair
+        # whose partner carries the same exponents, then one whose partner
+        # carries all but the smallest; a changed status, detail, condition
+        # name or step order changes the digest
+        pool = sorted({F(p, q) for q in range(2, 7) for p in range(1, 2 * q)})
+        digest, count = hashlib.sha256(), 0
+        for k in range(4):
+            for exps in itertools.combinations_with_replacement(pool, k):
+                bundles = [
+                    [D("a", exps, hr=hr, tr=tr)]
+                    for hr in (False, True) for tr in (False, True)
+                ]
+                for other in (exps, exps[1:]):
+                    bundles.append([
+                        D("a", exps, sd=False, partner="b"),
+                        D("b", other, sd=False, partner="a"),
+                    ])
+                for data in bundles:
+                    doc = generic_unitarizable(data).to_jsonable()
+                    digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
+                    count += 1
+        assert count == 15600
+        assert digest.hexdigest().startswith("1f1db9c5489b3cb3")
+
 
 class TestValidation:
     def test_nonpositive_exponent(self):
@@ -135,6 +165,26 @@ class TestValidation:
     def test_inexact_or_foreign_exponent(self, value):
         with pytest.raises(MalformedDatumError, match="not an exponent"):
             GenericDatum("a", (value,), True, False)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("1e30000000", "exponent notation"), ("1E3", "exponent notation"),
+         ("3e-1", "exponent notation"), ("1/2e1", "exponent notation"),
+         ("1" * 1001, "1001 digits, more than 1000"),
+         ("0." + "0" * 1000 + "1", "1002 digits, more than 1000")],
+        ids=["e30000000", "E3", "e-1", "fraction-e1", "1001-digits", "decimal-1002-digits"],
+    )
+    def test_costly_exponent_string(self, value, message):
+        # Fraction would build 10**30000000 exactly from the first one
+        with pytest.raises(MalformedDatumError, match="not an exponent") as exc:
+            GenericDatum("a", (value,), True, False)
+        assert message in str(exc.value) and len(str(exc.value)) < 100
+
+    def test_longest_exponent_strings_still_parse(self):
+        big = "9" * dsl.MAX_DIGITS
+        exps = (big, "0." + "0" * 998 + "3", f"{big[:-1]}/9")
+        d = GenericDatum("a", exps, True, False)
+        assert d.exponents == (F(3, 10 ** 999), F(int(big[:-1]), 9), F(int(big)))
 
     def test_exact_exponent_types(self):
         d = GenericDatum("a", (1, "0.3", F(2, 5), hi("1/2")), True, False)

@@ -38,6 +38,7 @@ from cuspline.sampling import random_multisegment
 from cuspline.glhopf import _lowest_derivative_segment
 from cuspline.subquotients import (
     _Refuted,
+    _carrying,
     _key_supp,
     _langlands_datum,
     _left_factors,
@@ -374,6 +375,15 @@ class TestSupportCounting:
             m = m + ms(rng.choice(m.segments))
         assert _key_supp(m) == _supp(*m)
         assert _key_supp(m) is _key_supp(m)  # counted once, then shared
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_carrying_counts_the_support_of_each_exponent(self, seed):
+        m = random_multisegment(random.Random(seed), max_segments=5, max_length=4)
+        slow = Counter({x.num2: k for (_line, x), k in m.support().items()})
+        top2 = max((abs(x2) for x2 in slow), default=0) + 2
+        for x2 in range(-top2, top2 + 1):  # both parities, and past each end
+            assert _carrying(x2, *m) == slow[x2], (m, x2)
 
     def test_point_and_long_segment(self):
         assert _supp(seg("1/2", "1/2")) == Counter({1: 1})
